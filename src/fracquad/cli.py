@@ -11,17 +11,12 @@ Subcommands::
 Every command writes CSV to stdout: header row, comma separator, LF line
 endings, floats in shortest round-trip form.  Exit codes: 0 success,
 1 runtime/data error, 2 usage error.
-
-``FRACQUAD_THREADS`` caps internal parallelism (0 = auto).  All current
-evaluation paths are deterministic and single-process, so the cap is
-honored trivially; it is validated and reserved for batch drivers.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -72,21 +67,6 @@ def _emit(header: Sequence[str], rows: Iterable[Sequence]) -> None:
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FRACQUAD_THREADS")
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise _UsageError(
-            f"FRACQUAD_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return value
 
 
 class _UsageError(Exception):
@@ -501,7 +481,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _thread_cap()
         args.func(args)
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

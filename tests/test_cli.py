@@ -266,12 +266,3 @@ def test_runtime_errors_exit_one(capsys):
                            "--scheme", "nc3")
     assert code == 1
     assert "tile" in err
-
-
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FRACQUAD_THREADS", "4")
-    assert run_cli(capsys, "coeffs", "--scheme", "gl", "--alpha", "0.5",
-                   "--dt", "1", "--count", "2")[0] == 0
-    monkeypatch.setenv("FRACQUAD_THREADS", "many")
-    assert run_cli(capsys, "coeffs", "--scheme", "gl", "--alpha", "0.5",
-                   "--dt", "1", "--count", "2")[0] == 2

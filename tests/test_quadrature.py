@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -196,6 +197,62 @@ def test_newton_cotes_polynomial_exactness():
     want3 = np.array([exact_integral_monomial(x, 0.5, 2.0)
                       for x in sig.grid.nodes])
     assert np.max(np.abs(out3 - want3)) < 1e-10
+
+
+@pytest.mark.parametrize("p, coeffs", [(2, (1.25, 0.75)),
+                                       (3, (1.25, -0.5, 0.75))])
+@pytest.mark.parametrize("n", [65, 1025, 4097])
+@pytest.mark.parametrize("alpha", [0.3, 0.81, 1.0, 1.7])
+def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha):
+    # degree p-1 polynomials are integrated exactly, so every node must be
+    # within N eps I^alpha[|f|](t_n); f > 0 here, so that is the exact value
+    grid = UniformGrid(3.1 / (n - 1), n)
+    sig = SampledSignal(grid, np.polynomial.polynomial.polyval(
+        grid.nodes, coeffs))
+    out = frac_newton_cotes(sig, alpha, p).values
+    eps = np.finfo(float).eps
+    assert out[0] == 0.0
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        scale = [mpmath.mpf(c) * mpmath.gamma(q + 1) / mpmath.gamma(q + 1 + a)
+                 for q, c in enumerate(coeffs)]
+        for m in range(1, n):
+            t = m * mpmath.mpf(grid.dt)
+            want = t**a * mpmath.polyval(scale[::-1], t)
+            assert abs(mpmath.mpf(out[m]) - want) <= n * eps * want, m
+
+
+def _two_product(a, b):
+    """Dekker's error-free product: ``a * b == prod + err`` exactly."""
+    def halves(x):
+        t = 134217729.0 * x  # 2^27 + 1
+        hi = t - (t - x)
+        return hi, x - hi
+
+    prod = a * b
+    ah, al = halves(a)
+    bh, bl = halves(b)
+    err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+    return prod, err
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.9])
+@pytest.mark.parametrize("rate", [1.0, -1.0])
+def test_direct_path_rounding_bound_long_signal(alpha, rate):
+    # N above 10^4, on growing and decaying signals: each checked node is
+    # within N eps (|f| * |w|)_n of the exactly rounded convolution
+    n = 16385
+    grid = UniformGrid(40.0 / (n - 1), n)
+    sig = SampledSignal(grid, np.exp(rate * grid.nodes))
+    w = gl_weights(alpha, grid.dt, n)
+    out = frac_integral(sig, w, method="direct").values
+    eps = np.finfo(float).eps
+    for m in (0, 1, 2, 7, 40, 333, 1024, 4097, 8191, 10001, 14000, n - 1):
+        f = sig.values[: m + 1]
+        c = w.values[m::-1]
+        exact = math.fsum(np.concatenate(_two_product(f, c)))
+        bound = n * eps * float(np.dot(np.abs(f), np.abs(c)))
+        assert abs(out[m] - exact) <= bound, m
 
 
 def test_newton_cotes_beats_nc0_on_exp():
