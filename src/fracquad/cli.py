@@ -123,15 +123,19 @@ def _resolve_integrand(spec: str, args) -> tuple[
     if args.n < 2:
         raise _UsageError("--n must be at least 2")
     grid = UniformGrid(args.t_end / (args.n - 1), args.n)
-    if spec == "const":
-        fn = lambda u: args.c + 0.0 * u
-    elif spec == "exp":
-        fn = np.exp
-    elif spec == "sin":
-        fn = lambda u: np.sin(args.omega0 * u)
-    else:
-        raise _UsageError(f"unknown integrand {spec!r}")
+    fn = _builtin_integrand(spec, args)
     return SampledSignal.sample(fn, grid), (lambda u: float(fn(u))), spec
+
+
+def _builtin_integrand(spec: str, args) -> Callable:
+    """Vectorised integrand for a built-in ``--f`` name."""
+    if spec == "const":
+        return lambda u: args.c + 0.0 * u
+    if spec == "exp":
+        return np.exp
+    if spec == "sin":
+        return lambda u: np.sin(args.omega0 * u)
+    raise _UsageError(f"unknown integrand {spec!r}")
 
 
 def _exact_integral_column(kind, args, alpha, t, f_callable, use_oracle):
@@ -245,12 +249,14 @@ def _cmd_convergence(args) -> None:
     n_list = args.n_list
     if len(n_list) < 3:
         raise _UsageError("--n-list needs at least 3 grid sizes")
-    exact = _probe_reference(args)
+    fn = _builtin_integrand(args.f, args)
+    exact = _exact_integral_column(args.f, args, args.alpha, [args.t_probe],
+                                   lambda u: float(fn(u)), True)[0]
     rows = []
     prev_err = prev_n = None
     for n in n_list:
         grid = UniformGrid(args.t_probe / (n - 1), n)
-        signal, _, _ = _resolve_probe_signal(args, grid)
+        signal = SampledSignal.sample(fn, grid)
         out = _apply_rule(signal, args.scheme, args.alpha, args.method,
                           None, None)
         err = abs(out.values[-1] - exact)
@@ -262,28 +268,6 @@ def _cmd_convergence(args) -> None:
         rows.append((n, grid.dt, err, order))
         prev_err, prev_n = err, n
     _emit(("n", "dt", "abs_err", "empirical_order"), rows)
-
-
-def _probe_reference(args) -> float:
-    t, alpha = args.t_probe, args.alpha
-    if args.f == "const":
-        return oracle.exact_integral_const(t, alpha, args.c)
-    if args.f == "exp":
-        return oracle.exact_integral_exp(t, alpha)
-    if args.f == "sin":
-        return oracle.brute_force_rl(
-            lambda u: math.sin(args.omega0 * u), t, alpha, args.oracle_tol)
-    raise _UsageError(f"unknown integrand {args.f!r}")
-
-
-def _resolve_probe_signal(args, grid):
-    if args.f == "const":
-        fn = lambda u: args.c + 0.0 * u
-    elif args.f == "exp":
-        fn = np.exp
-    else:
-        fn = lambda u: np.sin(args.omega0 * u)
-    return SampledSignal.sample(fn, grid), None, args.f
 
 
 def _parse_omega_range(spec: str, log_spacing: bool) -> np.ndarray:

@@ -124,12 +124,17 @@ def brute_force_rl(
         I = 1 / (alpha Gamma(alpha)) * int_0^(t^alpha) f(t - u^(1/alpha)) du
 
     which is refined by adaptive Simpson panels until the Richardson error
-    estimate drops under ``tol``.
+    estimate drops under ``tol``; panels are bisected at least
+    ``_MIN_BISECTION_DEPTH`` times first, since a coarse panel can pass that
+    test by accident.  ``tol`` bounds the error of the ``u`` integral, so for
+    smooth ``f`` the result is within ``tol / (alpha Gamma(alpha))`` plus a
+    few ulps (worst 0.16 of that on 64000 sin(omega u) probes vs mpmath).
 
     Raises
     ------
     ToleranceNotMet
-        If the refinement budget (2^20 evaluations) runs out first.
+        If the refinement budget (2^20 evaluations) runs out, or panels
+        reach floating-point resolution, before ``tol`` is met.
     """
     if not t > 0.0:
         raise DomainError(f"requires t > 0, got {t!r}")
@@ -149,6 +154,7 @@ def brute_force_rl(
 
 
 _MAX_BISECTION_DEPTH = 64
+_MIN_BISECTION_DEPTH = 7
 
 
 def _adaptive_simpson(g, a, b, tol, budget):
@@ -176,7 +182,7 @@ def _simpson_recurse(g, a, b, fa, fm, fb, whole, tol, budget, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
+    if depth >= _MIN_BISECTION_DEPTH and abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     half = 0.5 * tol
     return (

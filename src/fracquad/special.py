@@ -9,12 +9,14 @@ overflow out of every downstream recurrence.  Binomial coefficients are never
 formed from gamma ratios for the same reason; a product recurrence is exact
 in the index and immune to intermediate overflow.
 
-The lower incomplete gamma function uses the alternating Taylor series
+The lower incomplete gamma function uses the positive-term series
 
-    gamma_lower(t, a) = sum_{n>=0} (-1)^n t^(a+n) / (n! (a+n))
+    gamma_lower(t, a) = e^-t t^a sum_{n>=0} t^n / (a (a+1) ... (a+n))
 
-for small ``t`` and a Lentz continued fraction for the upper tail otherwise,
-mirroring the classic series/continued-fraction split.
+for ``t < a + 1`` and ``Gamma(a)`` minus a Lentz continued fraction for the
+upper tail otherwise (the Numerical Recipes ``gser``/``gcf`` split).  No
+term of either branch cancels, so the result stays within a few ulps times
+the number of series terms at every ``t``.
 """
 
 from __future__ import annotations
@@ -34,11 +36,6 @@ __all__ = [
 #: Largest argument ``gamma`` accepts.  Documented factorial overflow sets in
 #: just past this point (171! is not representable in binary64).
 GAMMA_OVERFLOW_LIMIT = 170.0
-
-#: Switch point between the Taylor series and the continued fraction for
-#: ``lower_incomplete_gamma``.  Past this the series sheds digits to
-#: cancellation while the tail fraction converges in a few dozen steps.
-_INCGAMMA_SERIES_LIMIT = 20.0
 
 _SERIES_STOP_RATIO = 1e-16
 _MAX_SERIES_TERMS = 10_000
@@ -102,25 +99,21 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
         )
     if t == 0.0:
         return 0.0
-    # The series also serves t > the nominal switch point while t < alpha + 1,
-    # where its terms are still monotone decreasing and the continued
-    # fraction would converge slowly.
-    if t <= _INCGAMMA_SERIES_LIMIT or t < alpha + 1.0:
+    if t < alpha + 1.0:
         return _lower_gamma_series(t, alpha)
     return _complete_minus_upper_tail(t, alpha)
 
 
 def _lower_gamma_series(t: float, alpha: float) -> float:
-    # term_n = (-1)^n t^(alpha+n) / (n! (alpha+n)); carried as
-    # c_n = (-1)^n t^(alpha+n) / n! with c_0 = t^alpha.
-    c = t**alpha
-    total = c / alpha
+    # term_n = t^n / (alpha (alpha+1) ... (alpha+n)), all positive and
+    # decreasing once alpha + n > t (from the first term here, t < alpha + 1)
+    term = 1.0 / alpha
+    total = term
     for n in range(1, _MAX_SERIES_TERMS):
-        c *= -t / n
-        term = c / (alpha + n)
+        term *= t / (alpha + n)
         total += term
-        if abs(term) <= _SERIES_STOP_RATIO * abs(total):
-            return total
+        if term <= _SERIES_STOP_RATIO * total:
+            return total * t**alpha * math.exp(-t)
     raise DomainError(
         f"incomplete gamma series failed to converge for t={t:g}, "
         f"alpha={alpha:g}"

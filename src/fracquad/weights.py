@@ -17,12 +17,16 @@ produced:
     ``dt^alpha / Gamma(alpha+1) * ((k+1)^alpha - k^alpha)``.
 ``Scheme.FLMM_TRAP``
     Fractional trapezoidal linear multistep weights, the series coefficients
-    of ``((1 + z) / (2 (1 - z)))^alpha``.
+    of ``((1 + z) / (2 (1 - z)))^alpha``: ``(dt/2)^alpha`` times the direct
+    (not FFT, whose error is absolute) product of the cumprod series
+    ``a_j = C(alpha, j)`` and ``b_j`` of ``(1 - z)^(-alpha)``, in binary64;
+    weight ``k`` is within ``(k+1) eps (dt/2)^alpha sum_j |a_j b_(k-j)|``.
 
 The generic :func:`flmm_weights` raises an arbitrary implicit multistep
 method ``(rho, sigma)`` to a real power via series division followed by the
-J.C.P. Miller recurrence.  Starting-weight corrections that restore
-polynomial exactness near the origin are provided by
+J.C.P. Miller recurrence, an independent check on the closed forms.
+Starting-weight corrections that restore polynomial exactness near the
+origin are provided by
 :func:`starting_weight_row` / :func:`starting_weight_table`.
 """
 
@@ -151,12 +155,8 @@ def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     alpha = float(alpha)
     if alpha == 0.0:
         raise DomainError("order 0 has no weight rule; it is the identity")
-    values = np.empty(n)
-    values[0] = 1.0
-    if n > 1:
-        k = np.arange(1.0, n)
-        np.cumprod((k - 1.0 + alpha) / k, out=values[1:])
-    values *= dt**alpha
+    k = np.arange(1.0, n)
+    values = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k]) * dt**alpha
     return WeightSequence(Scheme.GL, alpha, dt, values)
 
 
@@ -279,15 +279,26 @@ def _series_power(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
 
 def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
                        n: int) -> WeightSequence:
-    """Generate weights for any supported scheme tag."""
+    """Generate weights for any supported scheme tag.
+
+    ``Scheme.FLMM_TRAP``: ``w_k = (dt/2)^alpha sum_j C(alpha, j) b_(k-j)``,
+    ``b`` the GL series, within ``(k+1) eps`` times the same sum of absolute
+    terms; a negative ``alpha`` gives the derivative-role weights.
+    """
     if scheme is Scheme.GL:
         return gl_weights(alpha, dt, n)
     if scheme is Scheme.NC0:
         return nc0_weights(alpha, dt, n)
     if scheme is Scheme.FLMM_TRAP:
+        alpha = float(alpha)
         if alpha == 0.0:
             raise DomainError("order 0 has no weight rule; it is the identity")
-        return flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, alpha, dt, n)
+        _validate_common(dt, n)
+        k = np.arange(1.0, n)
+        plus = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
+        minus = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k])
+        values = np.convolve(plus, minus)[:n] * (dt / 2.0)**alpha
+        return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values)
     raise DomainError(f"unknown scheme {scheme!r}")
 
 

@@ -165,6 +165,18 @@ def test_convergence_nc2_order(capsys):
     assert cols["empirical_order"][-1] >= 1.5
 
 
+def test_convergence_sin_uses_brute_force_reference(capsys):
+    # NC3 converges at order 3 + alpha; a reference off by more than the
+    # finest error would flatten the last order
+    code, out, _ = run_cli(capsys, "convergence", "--f", "sin", "--alpha",
+                           "0.5", "--t-probe", "2", "--omega0", "1.5",
+                           "--n-list", "65,129,257", "--scheme", "nc3")
+    assert code == 0
+    _, cols = parse_csv(out)
+    assert cols["abs_err"][-1] < 1e-8
+    assert cols["empirical_order"][-1] >= 3.0
+
+
 def test_convergence_exact_rule_flags_nan(capsys):
     code, out, _ = run_cli(capsys, "convergence", "--f", "const", "--alpha",
                            "1", "--t-probe", "1", "--n-list", "10,20,40",

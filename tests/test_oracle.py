@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,33 @@ def test_brute_force_self_consistency_sweep():
             got = brute_force_rl(math.exp, t, alpha, 1e-10)
             want = exact_integral_exp(t, alpha)
             assert got == pytest.approx(want, abs=max(1e-10, 1e-10 * want))
+
+
+def _integral_sin_series(t, alpha, omega):
+    # I^alpha[sin(omega u)](t) = sum_k (-1)^k omega^(2k+1) t^(2k+1+alpha)
+    #                                      / Gamma(2k+2+alpha)
+    with mpmath.workdps(40):
+        t, a, w = mpmath.mpf(t), mpmath.mpf(alpha), mpmath.mpf(omega)
+        return mpmath.nsum(lambda k: (-1)**k * w**(2 * k + 1)
+                           * t**(2 * k + 1 + a) / mpmath.gamma(2 * k + 2 + a),
+                           [0, mpmath.inf])
+
+
+@pytest.mark.parametrize("alpha,omega,t", [
+    (0.4699055774485873, 1.2238064330025094, 3.250720524058469),
+    (0.6573092683273764, 1.093335909657314, 3.3552771702490327),
+    (0.34140428794824734, 1.2797496115013476, 1.099104025253329),
+])
+def test_brute_force_keeps_tolerance_sin(alpha, omega, t):
+    # tol bounds the substituted integral, so the value is within
+    # tol / (alpha Gamma(alpha)) plus rounding; a coarse Simpson panel once
+    # passed its error test by accident at these draws (up to 4.9x over)
+    tol = 1e-10
+    got = brute_force_rl(lambda u: math.sin(omega * u), t, alpha, tol)
+    want = _integral_sin_series(t, alpha, omega)
+    bound = (16 * np.finfo(float).eps * abs(want)
+             + tol / (alpha * math.gamma(alpha)))
+    assert abs(mpmath.mpf(got) - want) <= bound
 
 
 def test_brute_force_semigroup():

@@ -90,6 +90,33 @@ def test_lower_incomplete_gamma_values(t, alpha, want):
     assert lower_incomplete_gamma(t, alpha) == pytest.approx(want, rel=1e-10)
 
 
+def _series_terms(t, a):
+    # terms of e^-t t^a sum t^n / (a (a+1) ... (a+n)) needed for binary64
+    term = total = 1.0 / a
+    n = 0
+    while term > 2.0**-53 * total:
+        n += 1
+        term *= t / (a + n)
+        total += term
+    return n + 1
+
+
+def test_lower_incomplete_gamma_against_mpmath():
+    # within eps max(m, 16) gamma_lower, m the positive series' term count;
+    # the first cases sit where an alternating series loses 1e-9..1e-7
+    rng = np.random.default_rng(9)
+    cases = [(19.9, 2.5), (19.9, 0.75), (20.0, 2.5), (3.999, 3.0),
+             (4.0, 3.0), (1e-8, 0.05)]
+    cases += [(float(rng.uniform(0.0, 40.0)), float(rng.uniform(0.05, 3.0)))
+              for _ in range(300)]
+    eps = np.finfo(float).eps
+    for t, a in cases:
+        want = mpmath.gammainc(a, 0, t)
+        bound = eps * max(_series_terms(t, a), 16) * want
+        assert abs(mpmath.mpf(lower_incomplete_gamma(t, a)) - want) <= bound, \
+            (t, a)
+
+
 def test_lower_incomplete_gamma_limits():
     assert lower_incomplete_gamma(0.0, 0.5) == 0.0
     # saturates at Gamma(alpha) once the upper tail is negligible
@@ -99,8 +126,8 @@ def test_lower_incomplete_gamma_limits():
 
 
 def test_lower_incomplete_gamma_monotone_and_bounded():
-    # true increments past t ~ 20 drop under the series' own cancellation
-    # floor (~1e-9 relative at t = 20), so probes skip the switch point
+    # probes cover both branches: the series below alpha + 1 and the
+    # continued fraction above
     for alpha in (0.25, 0.5, 0.75, 1.5, 3.0):
         cap = gamma(alpha)
         probes = np.concatenate([np.linspace(0.0, 15.0, 31),

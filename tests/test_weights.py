@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,6 +124,48 @@ def test_flmm_trapezoid_against_binomial_convolution():
     want = np.convolve(up, down)[:n] * 2.0**-alpha
     got = weights_for_scheme(Scheme.FLMM_TRAP, alpha, 1.0, n).values
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 1.5, -0.5, -0.9])
+def test_flmm_trapezoid_closed_form_against_mpmath(alpha):
+    # w_k = (dt/2)^alpha sum_j a_j b_(k-j), a the (1+z)^alpha and b the
+    # (1-z)^(-alpha) series; each weight within (k+1) eps sum_j |a_j b_(k-j)|
+    n, dt = 2049, 0.0125
+    got = weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n).values
+    ks = {0, 1, 2, n - 1}
+    ks.update(int(k) for k in np.random.default_rng(4).integers(3, n - 1, 6))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        scale = (mpmath.mpf(dt) / 2)**a
+        plus, minus = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for j in range(1, n):
+            plus.append(plus[-1] * (a - j + 1) / j)
+            minus.append(minus[-1] * (j - 1 + a) / j)
+        for k in sorted(ks):
+            terms = [plus[j] * minus[k - j] for j in range(k + 1)]
+            want = scale * mpmath.fsum(terms)
+            bound = (k + 1) * eps * scale * mpmath.fsum(abs(x) for x in terms)
+            assert abs(mpmath.mpf(got[k]) - want) <= bound, k
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5, -0.5])
+def test_flmm_trapezoid_closed_form_matches_generic_multistep(alpha):
+    n, dt = 2000, 0.02
+    closed = weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
+    generic = flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, alpha, dt, n)
+    assert closed.scheme is Scheme.FLMM_TRAP
+    assert np.max(np.abs(closed.values - generic.values)
+                  / np.abs(generic.values)) < 1e-12
+
+
+def test_flmm_trapezoid_domain():
+    for alpha, dt, n in [(0.0, 0.1, 8), (0.5, 0.0, 8), (0.5, -1.0, 8),
+                         (0.5, 0.1, 0)]:
+        with pytest.raises(DomainError):
+            weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
+    assert weights_for_scheme(Scheme.FLMM_TRAP, 0.5, 0.5, 1).values == \
+        pytest.approx([0.5])
 
 
 def test_flmm_rejects_explicit_method():
