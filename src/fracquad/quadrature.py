@@ -13,14 +13,15 @@ index conventions are kept exactly as the underlying rules define them:
   ``p`` nodes to a node-distance sequence:
   ``out[n] = sum_{j=0..n} v_j f_(n-j) + sum_{k<p} s_k(n) f_k``, ``out[0] = 0``.
 
-The ``direct`` evaluation path sums every output node in plain binary64;
-its error at node n stays within ``N * eps * (|f| * |w|)_n``, the same
-convolution taken of absolute values.  The ``fft`` path computes the
-convolution by zero-padded real transforms, but its rounding error is
-absolute, of order ``eps`` times the largest output, so growing signals
-lose their early nodes (relative errors of 4e2-7e2 on e^t over [0, 40] at
-2^16 nodes, GL order 0.5).  Only the direct path is bitwise causal, so it
-is the default everywhere.
+The ``direct`` path (the default) sums only the causal triangle, as
+products of signal blocks with Toeplitz blocks of the weight matrix
+(one ``np.convolve`` call for short signals); each node is a plain binary64
+sum of its own terms, bitwise causal and within ``N * eps * (|f| * |w|)_n``,
+the same convolution taken of absolute values.  The ``fft`` path uses
+zero-padded real transforms, but its rounding error is absolute, of order
+``eps`` times the largest output, so growing signals lose their early
+nodes (relative errors of 4e2-7e2 on e^t over [0, 40] at 2^16 nodes, GL
+order 0.5).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .exceptions import (
 from .special import gamma
 from .weights import (
     WeightSequence,
+    _causal_conv_direct,
     nc0_weights,
     starting_weight_table,
 )
@@ -106,11 +108,6 @@ class SampledSignal:
         return SampledSignal(self.grid, values)
 
 
-def _causal_conv_direct(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    n = len(f)
-    return np.convolve(f, c[:n])[:n]
-
-
 def _causal_conv_fft(f: np.ndarray, c: np.ndarray) -> np.ndarray:
     n = len(f)
     size = 1 << (2 * n - 1).bit_length()
@@ -166,10 +163,10 @@ def frac_integral(
     weights : WeightSequence
         Convolution weights generated for the same grid step.
     method : {"direct", "fft"}
-        Summation backend.  ``direct`` is bitwise causal and within
-        ``N * eps * (|f| * |w|)_n`` at node n; ``fft`` is O(N log N) but
-        its error is absolute, about ``eps`` times the largest output, so
-        small early outputs of a growing signal can lose every digit.
+        Summation backend.  ``direct`` (blocked Toeplitz products over an
+        ``np.convolve`` leaf) is bitwise causal and within
+        ``N * eps * (|f| * |w|)_n`` at node n; ``fft`` is O(N log N) but its
+        error is absolute, so small early outputs can lose every digit.
     starting_degree : int, optional
         When given, add the polynomial-exactness corrections of this degree
         (weights attached to the first ``starting_degree + 1`` nodes).

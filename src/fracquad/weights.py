@@ -136,6 +136,38 @@ class StartingWeights:
         object.__setattr__(self, "table", table)
 
 
+#: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
+#: call is faster (measured crossover 0.9-1.2e3 samples).
+_BLOCK = 128
+_LEAF_CUTOFF = 1024
+
+
+def _causal_conv_direct(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``out[n] = sum_(j <= n) c_j f_(n-j)`` for every node of ``f``.
+
+    Rows of L = ``_BLOCK`` samples times the Toeplitz blocks
+    ``T_d[r, s] = c[d L + r - s]`` of each block lag d: only the causal
+    triangle is summed, each output within ``N * eps * (|f| * |c|)_n``, and
+    the exact zeros above the diagonal keep the result bitwise causal.
+    """
+    n = len(f)
+    c = c[:n]
+    if n <= _LEAF_CUTOFF:
+        return np.convolve(f, c)[:n]
+    rows = -(-n // _BLOCK)
+    lags = min(rows, (len(c) + _BLOCK - 2) // _BLOCK + 1)
+    f_rows = np.zeros((rows, _BLOCK))
+    f_rows.ravel()[:n] = f
+    kernel = np.zeros((lags + 1) * _BLOCK - 1)
+    kernel[_BLOCK - 1: _BLOCK - 1 + len(c)] = c
+    windows = np.lib.stride_tricks.sliding_window_view(kernel, _BLOCK)
+    out = np.zeros((rows, _BLOCK))
+    for d in range(lags):
+        block = windows[d * _BLOCK: (d + 1) * _BLOCK][::-1].copy()  # T_d.T
+        out[d:] += f_rows[: rows - d] @ block
+    return out.ravel()[:n]
+
+
 def _validate_common(dt: float, n: int) -> None:
     if not dt > 0.0:
         raise DomainError(f"grid step must be positive, got {dt!r}")
@@ -297,7 +329,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         k = np.arange(1.0, n)
         plus = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
         minus = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k])
-        values = np.convolve(plus, minus)[:n] * (dt / 2.0)**alpha
+        values = _causal_conv_direct(plus, minus) * (dt / 2.0)**alpha
         return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values)
     raise DomainError(f"unknown scheme {scheme!r}")
 
@@ -320,12 +352,8 @@ def _monomial_defects(weights: WeightSequence, s: int,
     nodes = np.arange(n_max + 1, dtype=float)
     defects = np.empty((s + 1, n_max + 1))
     for q in range(s + 1):
-        seq = nodes**q
-        if q == 0:
-            seq = np.ones_like(nodes)
         exact = (gamma(q + 1.0) / gamma(q + 1.0 + alpha)) * nodes**(q + alpha)
-        base = np.convolve(omega, seq)[: n_max + 1]
-        defects[q] = exact - base
+        defects[q] = exact - _causal_conv_direct(nodes**q, omega)
     return defects
 
 

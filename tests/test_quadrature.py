@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import fracquad
 from fracquad.exceptions import (
     AlignmentError,
     DomainError,
@@ -23,7 +28,15 @@ from fracquad.quadrature import (
     frac_trapezoid,
     short_memory_integral,
 )
-from fracquad.weights import Scheme, gl_weights, nc0_weights, weights_for_scheme
+from fracquad.derivative import gl_derivative
+from fracquad.weights import (
+    _BLOCK,
+    _LEAF_CUTOFF,
+    Scheme,
+    gl_weights,
+    nc0_weights,
+    weights_for_scheme,
+)
 
 
 def make_signal(fn, t_end, n):
@@ -236,6 +249,20 @@ def _two_product(a, b):
     return prod, err
 
 
+def _assert_exact_to_rounding(f, w, out, nodes):
+    # out[m] within len(f) eps (|f| * |w|)_m of the exactly rounded sum,
+    # w zero beyond its length
+    eps = np.finfo(float).eps
+    for m in nodes:
+        c = np.zeros(m + 1)
+        k = min(m + 1, len(w))
+        c[:k] = w[:k]
+        f_m, c_m = f[: m + 1], c[::-1]
+        exact = math.fsum(np.concatenate(_two_product(f_m, c_m)))
+        bound = len(f) * eps * float(np.dot(np.abs(f_m), np.abs(c_m)))
+        assert abs(out[m] - exact) <= bound, m
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.9])
 @pytest.mark.parametrize("rate", [1.0, -1.0])
 def test_direct_path_rounding_bound_long_signal(alpha, rate):
@@ -246,13 +273,102 @@ def test_direct_path_rounding_bound_long_signal(alpha, rate):
     sig = SampledSignal(grid, np.exp(rate * grid.nodes))
     w = gl_weights(alpha, grid.dt, n)
     out = frac_integral(sig, w, method="direct").values
-    eps = np.finfo(float).eps
-    for m in (0, 1, 2, 7, 40, 333, 1024, 4097, 8191, 10001, 14000, n - 1):
-        f = sig.values[: m + 1]
-        c = w.values[m::-1]
-        exact = math.fsum(np.concatenate(_two_product(f, c)))
-        bound = n * eps * float(np.dot(np.abs(f), np.abs(c)))
-        assert abs(out[m] - exact) <= bound, m
+    _assert_exact_to_rounding(sig.values, w.values, out, (
+        0, 1, 2, 7, 40, 333, 1024, 4097, 8191, 10001, 14000, n - 1))
+
+
+def _block_edge_nodes(n, rng):
+    edges = {0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1,
+             _LEAF_CUTOFF - 1, _LEAF_CUTOFF, n - 2, n - 1}
+    picks = rng.integers(0, n, 12).tolist()
+    return sorted(m for m in edges | set(picks) if 0 <= m < n)
+
+
+#: A whole number of blocks above the leaf cutoff.
+_BLOCKED_N = (_LEAF_CUTOFF // _BLOCK + 4) * _BLOCK
+
+
+@pytest.mark.parametrize("n", [_LEAF_CUTOFF, _LEAF_CUTOFF + 1, _BLOCKED_N,
+                               _BLOCKED_N + 1, 5003])
+@pytest.mark.parametrize("alpha", [0.5, -0.9])
+def test_blocked_direct_path_exact_to_rounding(n, alpha):
+    # sizes on both sides of the np.convolve leaf and on block edges, with
+    # signed samples so the sums cancel
+    rng = np.random.default_rng(n)
+    grid = UniformGrid(0.01, n)
+    sig = SampledSignal(grid, rng.standard_normal(n) * np.exp(grid.nodes / 10))
+    w = gl_weights(alpha, grid.dt, n)
+    out = frac_integral(sig, w).values
+    _assert_exact_to_rounding(sig.values, w.values, out,
+                              _block_edge_nodes(n, rng))
+
+
+@pytest.mark.parametrize("memory", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                    5003 // 3])
+def test_blocked_short_memory_exact_to_rounding(memory):
+    n = 5003
+    rng = np.random.default_rng(memory)
+    grid = UniformGrid(0.01, n)
+    sig = SampledSignal(grid, rng.standard_normal(n))
+    w = gl_weights(-0.5, grid.dt, n)
+    out = short_memory_integral(sig, w, memory).values
+    _assert_exact_to_rounding(sig.values, w.values[:memory], out,
+                              _block_edge_nodes(n, rng) + [memory, memory + 1])
+
+
+def test_blocked_direct_path_causality_bitwise():
+    rng = np.random.default_rng(29)
+    grid = UniformGrid(0.01, 5000)
+    base = rng.standard_normal(5000)
+    altered = base.copy()
+    altered[3001:] += rng.standard_normal(1999)
+    for w in (gl_weights(0.5, grid.dt, 5000),
+              weights_for_scheme(Scheme.FLMM_TRAP, -0.7, grid.dt, 5000)):
+        out = frac_integral(SampledSignal(grid, base), w).values
+        alt = frac_integral(SampledSignal(grid, altered), w).values
+        assert np.array_equal(out[:3001], alt[:3001])
+        assert not np.array_equal(out[3001:], alt[3001:])
+
+
+def test_blocked_gl_forward_mirrors_backward_bitwise():
+    rng = np.random.default_rng(31)
+    grid = UniformGrid(0.01, 3000)
+    values = rng.standard_normal(3000)
+    fwd = gl_derivative(SampledSignal(grid, values), 0.5,
+                        direction="forward").values
+    bwd = gl_derivative(SampledSignal(grid, values[::-1]), 0.5).values
+    assert np.array_equal(fwd, bwd[::-1])
+
+
+_POOL_PROBE = """
+import hashlib, io, contextlib
+import numpy as np
+from fracquad import SampledSignal, UniformGrid, frac_integral, gl_weights
+from fracquad.cli import main
+grid = UniformGrid(0.01, 5000)
+sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
+out = frac_integral(sig, gl_weights(0.5, grid.dt, 5000)).values
+csv = io.StringIO()
+with contextlib.redirect_stdout(csv):
+    code = main(["integrate", "--f", "exp", "--alpha", "0.5", "--t-end", "10",
+                 "--n", "5000"])
+assert code == 0 and len(csv.getvalue().splitlines()) == 5001
+print(hashlib.sha256(out.tobytes()).hexdigest())
+print(hashlib.sha256(csv.getvalue().encode()).hexdigest())
+"""
+
+
+def test_direct_path_independent_of_blas_pool_size():
+    src = str(Path(fracquad.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_newton_cotes_beats_nc0_on_exp():
