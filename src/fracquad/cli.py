@@ -50,6 +50,7 @@ __all__ = ["main"]
 _WEIGHT_SCHEMES = {"gl": Scheme.GL, "nc0": Scheme.NC0,
                    "flmm-trap": Scheme.FLMM_TRAP}
 _RULE_CHOICES = [*_WEIGHT_SCHEMES, "trap", "nc3"]
+_METHOD_HELP = "direct (default) or fft: a sum-of-exponentials engine, no FFT"
 
 
 class _CliDataError(Exception):
@@ -383,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omega0", type=float, default=1.0,
                        help="angular frequency for --f sin")
         p.add_argument("--method", choices=["direct", "fft"],
-                       default="direct")
+                       default="direct", help=_METHOD_HELP)
         if with_oracle:
             p.add_argument("--oracle", action="store_true",
                            help="add brute-force reference columns")
@@ -420,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       type=lambda s: [int(x) for x in s.split(",")])
     conv.add_argument("--scheme", choices=_RULE_CHOICES, default="gl")
     conv.add_argument("--method", choices=["direct", "fft"],
-                      default="direct")
+                      default="direct", help=_METHOD_HELP)
     conv.add_argument("--c", type=float, default=1.0)
     conv.add_argument("--omega0", type=float, default=1.0)
     conv.add_argument("--oracle-tol", dest="oracle_tol", type=float,

@@ -190,8 +190,8 @@ def fractional_polarization(
 ) -> SampledSignal:
     """Time-domain polarization ``P = eps0 * I^alpha[E]``.
 
-    A causal convolution: with the default ``direct`` method, ``P`` at a
-    node is bit-identical no matter what later field samples hold.
+    A causal convolution: with either method, ``P`` at a node is
+    bit-identical no matter what later field samples hold.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -226,8 +226,8 @@ def verify_universal_ratio(
     drift term (the start-up transient decays like ``t^(alpha-1)``), and
     converts the fitted phase lag into a loss tangent ``tan(phase_lag)``.
 
-    The FFT evaluation path is the default here: runs are long, and the
-    paths agree to ~1e-10.
+    The ``fft`` path (the sum-of-exponentials engine) is the default here:
+    runs are long, and both paths are within N eps of the exact sums.
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha

@@ -32,7 +32,10 @@ from fracquad.derivative import gl_derivative
 from fracquad.weights import (
     _BLOCK,
     _LEAF_CUTOFF,
+    _MODES_CUTOFF,
     Scheme,
+    WeightSequence,
+    _modes,
     gl_weights,
     nc0_weights,
     weights_for_scheme,
@@ -249,10 +252,10 @@ def _two_product(a, b):
     return prod, err
 
 
-def _assert_exact_to_rounding(f, w, out, nodes):
-    # out[m] within len(f) eps (|f| * |w|)_m of the exactly rounded sum,
-    # w zero beyond its length
-    eps = np.finfo(float).eps
+def _assert_exact_to_rounding(f, w, out, nodes, share=1.0):
+    # out[m] within share * len(f) eps (|f| * |w|)_m of the exactly rounded
+    # sum, w zero beyond its length
+    eps = share * np.finfo(float).eps
     for m in nodes:
         c = np.zeros(m + 1)
         k = min(m + 1, len(w))
@@ -494,3 +497,218 @@ def test_flmm_trap_scheme_runs_through_integral():
     out = frac_integral(sig, w).values
     want = exact_integral_exp(1.0, 0.5)
     assert out[-1] == pytest.approx(want, rel=2e-3)
+
+
+# ------------------------------------------------ sum-of-exponentials engine
+# ``method="fft"`` runs the engine: block lags 0 and 1 exact, older samples
+# through geometric modes.  Its gate is a quarter of the direct path's
+# rounding bound, against exactly rounded sums.
+_ENGINE_SHARE = 0.25
+
+
+def _engine_nodes(n, rng):
+    # the first nodes, the near/far seam at 2L and the rows where the
+    # doubling scan changes step, on top of the direct path's block edges
+    edges = set(range(9)) | {2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK - 1,
+                             3 * _BLOCK, 3 * _BLOCK + 1}
+    edges |= {(2 + 2**j) * _BLOCK + d for j in range(12) for d in (-1, 0)}
+    return sorted(m for m in edges | set(_block_edge_nodes(n, rng)) if m < n)
+
+
+def _engine_case(family, alpha, dt, n):
+    if family == "gl":
+        return gl_weights(alpha, dt, n)
+    if family == "nc0":
+        return nc0_weights(alpha, dt, n)
+    return weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
+
+
+@pytest.mark.parametrize("rule", ["gl 0.5", "gl -0.9", "trapezoid 0.5",
+                                  "flmm 0.5"])
+def test_fft_exact_to_rounding_on_growing_exp(rule):
+    # e^t over [0, 40] at 2^16 nodes: an FFT loses every digit of the first
+    # outputs (4e2-7e2 relative); the engine keeps them within its gate
+    name, alpha = rule.split()
+    alpha = float(alpha)
+    n = 1 << 16
+    grid = UniformGrid(40.0 / (n - 1), n)
+    sig = SampledSignal(grid, np.exp(grid.nodes))
+    nodes = _engine_nodes(n, np.random.default_rng(n))
+    if name == "trapezoid":
+        out = frac_trapezoid(sig, alpha, method="fft").values[1:]
+        f = 0.5 * (sig.values[:-1] + sig.values[1:])
+        w = nc0_weights(alpha, grid.dt, n - 1).values
+        nodes = nodes[:-1]
+    else:
+        weights = _engine_case(name, alpha, grid.dt, n)
+        out = frac_integral(sig, weights, method="fft").values
+        f, w = sig.values, weights.values
+    _assert_exact_to_rounding(f, w, out, nodes, share=_ENGINE_SHARE)
+
+
+@pytest.mark.parametrize("family, alpha, n", [
+    ("gl", 0.01, 5003), ("gl", 0.99, 5003), ("gl", 1.0 - 1e-9, 5003),
+    ("gl", -0.5, 5003), ("gl", -0.99, 5003), ("nc0", 0.05, 5003),
+    ("nc0", 0.95, 5003), ("flmm", 0.1, 7001), ("flmm", -0.9, 7001),
+])
+def test_fft_engine_exact_to_rounding(family, alpha, n):
+    rng = np.random.default_rng(n)
+    grid = UniformGrid(0.01, n)
+    weights = _engine_case(family, alpha, grid.dt, n)
+    for values in (rng.standard_normal(n) * np.exp(grid.nodes / 10),
+                   np.exp(-grid.nodes)):
+        sig = SampledSignal(grid, values)
+        out = frac_integral(sig, weights, method="fft").values
+        direct = frac_integral(sig, weights).values
+        assert not np.array_equal(out, direct)  # the engine ran
+        if weights.scheme.panel_based:
+            f, out = values[:-1], out[1:]
+        else:
+            f = values
+        _assert_exact_to_rounding(f, weights.values, out,
+                                  _engine_nodes(len(f), rng),
+                                  share=_ENGINE_SHARE)
+
+
+@pytest.mark.parametrize("family, alpha, n", [
+    ("gl", 0.5, 5000), ("gl", -0.9, 5000), ("nc0", 0.3, 5000),
+    ("flmm", -0.7, 7000),
+])
+def test_fft_engine_causality_bitwise(family, alpha, n):
+    rng = np.random.default_rng(37)
+    grid = UniformGrid(0.01, n)
+    base = rng.standard_normal(n)
+    altered = base.copy()
+    altered[3001:] += rng.standard_normal(n - 3001)
+    w = _engine_case(family, alpha, grid.dt, n)
+    out = frac_integral(SampledSignal(grid, base), w, method="fft").values
+    alt = frac_integral(SampledSignal(grid, altered), w, method="fft").values
+    assert not np.array_equal(out, frac_integral(SampledSignal(grid, base),
+                                                 w).values)
+    assert np.array_equal(out[:3001], alt[:3001])
+    assert not np.array_equal(out[3001:], alt[3001:])
+
+
+def test_fft_gl_forward_mirrors_backward_bitwise():
+    rng = np.random.default_rng(41)
+    grid = UniformGrid(0.01, 5000)
+    values = rng.standard_normal(5000)
+    fwd = gl_derivative(SampledSignal(grid, values), 0.5,
+                        direction="forward", method="fft").values
+    bwd = gl_derivative(SampledSignal(grid, values[::-1]), 0.5,
+                        method="fft").values
+    assert np.array_equal(fwd, bwd[::-1])
+
+
+_ENGINE_POOL_PROBE = """
+import hashlib
+import numpy as np
+from fracquad import (SampledSignal, Scheme, UniformGrid, frac_integral,
+                      frac_trapezoid, gl_weights, weights_for_scheme)
+n = 1 << 14
+grid = UniformGrid(40.0 / (n - 1), n)
+sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
+for out in (
+    frac_integral(sig, gl_weights(0.5, grid.dt, n), method="fft"),
+    frac_integral(sig, gl_weights(-0.9, grid.dt, n), method="fft"),
+    frac_trapezoid(sig, 0.5, method="fft"),
+    frac_integral(sig, weights_for_scheme(Scheme.FLMM_TRAP, 0.5, grid.dt, n),
+                  method="fft"),
+):
+    print(hashlib.sha256(out.values.tobytes()).hexdigest())
+"""
+
+
+def test_fft_engine_independent_of_blas_pool_size():
+    src = str(Path(fracquad.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run([sys.executable, "-c", _ENGINE_POOL_PROBE],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        digests.append(run.stdout)
+    assert len(digests[0].split()) == 4 and digests[0] == digests[1]
+
+
+def test_fft_without_far_field_equals_direct_bitwise():
+    # truncated and hand-built sequences carry no integral form
+    rng = np.random.default_rng(43)
+    n = 2 * _MODES_CUTOFF
+    grid = UniformGrid(0.01, n)
+    sig = SampledSignal(grid, rng.standard_normal(n))
+    w = gl_weights(-0.5, grid.dt, n)
+    for memory in (_BLOCK + 1, n // 2, n):
+        assert np.array_equal(
+            short_memory_integral(sig, w, memory, method="fft").values,
+            short_memory_integral(sig, w, memory).values)
+    hand = WeightSequence(Scheme.GL, -0.5, grid.dt, w.values)
+    assert hand == w and not hand.far_field
+    assert np.array_equal(frac_integral(sig, hand, method="fft").values,
+                          frac_integral(sig, hand).values)
+
+
+def test_far_field_only_for_orders_below_one():
+    dt, n = 0.01, 300
+    for w in (gl_weights(1.0, dt, n), gl_weights(-1.5, dt, n),
+              nc0_weights(1.0, dt, n), nc0_weights(2.5, dt, n),
+              weights_for_scheme(Scheme.FLMM_TRAP, 1.0, dt, n),
+              weights_for_scheme(Scheme.FLMM_TRAP, -1.2, dt, n)):
+        assert w.far_field == ()
+    assert len(gl_weights(0.7, dt, n).far_field) == 1
+    assert len(nc0_weights(0.7, dt, n).far_field) == 1
+    flmm = weights_for_scheme(Scheme.FLMM_TRAP, 0.7, dt, n)
+    assert [p.alternating for p in flmm.far_field] == [True, False]
+
+
+def _mode_rel_errors(far, n, exact):
+    u, c = _modes(far, n)
+    assert np.all(c > 0) or np.all(c < 0)
+    ks = sorted({_BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, n - 1, n}
+                | {int(k) for k in np.geomspace(_BLOCK + 1, n, 9)})
+    errs = []
+    for k in ks:
+        sign = (-1.0)**k if far.alternating else 1.0
+        got = sign * math.fsum(c * np.exp(-u * k))
+        want = exact(k)
+        errs.append(float(abs((mpmath.mpf(got) - want) / want)))
+    return errs
+
+
+def _mp_gl(order, k):
+    # (-1)^k C(-order, k); k + order formed in mpf
+    a = mpmath.mpf(order)
+    return mpmath.gamma(k + a) / (mpmath.gamma(a) * mpmath.gamma(k + 1))
+
+
+#: The worst measured mode error, 2.7e-15 relative, is 0.002 of N eps at
+#: N = 5001.
+_MODE_SHARE = 0.01
+
+
+@pytest.mark.parametrize("n", [5001, 1 << 16])
+@pytest.mark.parametrize("family, alpha", [
+    ("gl", 0.01), ("gl", 0.5), ("gl", 0.99), ("gl", 1.0 - 1e-9),
+    ("gl", -0.5), ("gl", -0.99), ("nc0", 0.05), ("nc0", 0.5),
+    ("nc0", 0.95), ("flmm", 0.5), ("flmm", -0.9),
+])
+def test_modes_match_mpmath_weights(family, alpha, n):
+    eps = np.finfo(float).eps
+    a = mpmath.mpf(alpha)
+    with mpmath.workdps(30):
+        w = _engine_case(family, alpha, 1.0, 3 * _BLOCK)
+        if family == "gl":
+            exact = [lambda k: _mp_gl(a, k)]
+        elif family == "nc0":
+            exact = [lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
+                     / mpmath.gamma(a + 1)]
+        else:
+            # C(alpha, k) = (-1)^k C(-(-alpha), k), then 2^-alpha GL(alpha)
+            exact = [lambda k: (-1)**k * _mp_gl(-a, k),
+                     lambda k: 2**-a * _mp_gl(a, k)]
+        assert len(w.far_field) == len(exact)
+        for far, want in zip(w.far_field, exact):
+            errs = _mode_rel_errors(far, n, want)
+            assert max(errs) <= _MODE_SHARE * n * eps, errs
