@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,17 +57,12 @@ class _CliDataError(Exception):
     """Input-data problem; reported on stderr with exit code 1."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _emit(header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    out = sys.stdout
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(x) for x in row) + "\n")
+def _emit(header: Sequence[str], *columns) -> None:
+    """Write the header and one row per entry of the equal-length columns
+    in a single write, each cell the ``repr`` of a Python int or float."""
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 class _UsageError(Exception):
@@ -183,7 +178,7 @@ def _cmd_coeffs(args) -> None:
             raise _UsageError("nc0 weights have no derivative role")
         alpha = -alpha
     w = weights_for_scheme(scheme, alpha, args.dt, args.count)
-    _emit(("k", "weight"), ((k, v) for k, v in enumerate(w.values)))
+    _emit(("k", "weight"), np.arange(len(w.values)), w.values)
 
 
 def _cmd_integrate(args) -> None:
@@ -197,13 +192,13 @@ def _cmd_integrate(args) -> None:
     exact = _exact_integral_column(
         kind, args, alpha, t, f_callable, args.oracle)
     if exact is None:
-        _emit(("t", "approx"), zip(t, out.values))
+        _emit(("t", "approx"), t, out.values)
         return
     abs_err = np.abs(out.values - exact)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_err = np.where(exact != 0.0, abs_err / np.abs(exact), np.nan)
     _emit(("t", "approx", "exact", "abs_err", "rel_err"),
-          zip(t, out.values, exact, abs_err, rel_err))
+          t, out.values, exact, abs_err, rel_err)
 
 
 def _cmd_differentiate(args) -> None:
@@ -219,7 +214,7 @@ def _cmd_differentiate(args) -> None:
     t = signal.grid.nodes
     exact = _exact_derivative_column(kind, args, alpha, t)
     if exact is None:
-        _emit(("t", "approx"), zip(t, out.values))
+        _emit(("t", "approx"), t, out.values)
         return
     abs_err = np.abs(out.values - exact)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -227,7 +222,7 @@ def _cmd_differentiate(args) -> None:
             np.isfinite(exact) & (exact != 0.0),
             abs_err / np.abs(exact), np.nan)
     _emit(("t", "approx", "exact", "abs_err", "rel_err"),
-          zip(t, out.values, exact, abs_err, rel_err))
+          t, out.values, exact, abs_err, rel_err)
 
 
 def _exact_derivative_column(kind, args, alpha, t):
@@ -268,7 +263,7 @@ def _cmd_convergence(args) -> None:
             order = math.log(prev_err / err) / math.log(n / prev_n)
         rows.append((n, grid.dt, err, order))
         prev_err, prev_n = err, n
-    _emit(("n", "dt", "abs_err", "empirical_order"), rows)
+    _emit(("n", "dt", "abs_err", "empirical_order"), *zip(*rows))
 
 
 def _parse_omega_range(spec: str, log_spacing: bool) -> np.ndarray:
@@ -311,7 +306,7 @@ def _cmd_dielectric(args) -> None:
                 scheme=_WEIGHT_SCHEMES[args.scheme])
             rel_dev = abs(check.numeric - check.analytic) / abs(check.analytic)
             rows.append((n_exp, check.analytic, check.numeric, rel_dev))
-        _emit(("n", "analytic", "numeric", "rel_dev"), rows)
+        _emit(("n", "analytic", "numeric", "rel_dev"), *zip(*rows))
         return
     if args.time_domain:
         if len(args.n_exp) != 1:
@@ -323,14 +318,14 @@ def _cmd_dielectric(args) -> None:
         pol = fractional_polarization(
             field, model.alpha, eps0=args.eps0,
             scheme=_WEIGHT_SCHEMES[args.scheme])
-        _emit(("t", "E", "P"), zip(grid.nodes, field.values, pol.values))
+        _emit(("t", "E", "P"), grid.nodes, field.values, pol.values)
         return
     omegas = _parse_omega_range(args.omega_range, args.log_omega)
     chi = _susceptibility_sweep(args, omegas)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(chi.real != 0.0, chi.imag / chi.real, np.nan)
     _emit(("omega", "chi_re", "chi_im", "ratio"),
-          zip(omegas, chi.real, chi.imag, ratio))
+          omegas, chi.real, chi.imag, ratio)
 
 
 def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:

@@ -27,12 +27,17 @@ method ``(rho, sigma)`` to a real power via series division followed by the
 J.C.P. Miller recurrence, an independent check on the closed forms.
 Starting-weight corrections that restore polynomial exactness near the
 origin are provided by
-:func:`starting_weight_row` / :func:`starting_weight_table`.
+:func:`starting_weight_row` / :func:`starting_weight_table`: the defects of
+the bare rule on ``t^0 .. t^s`` are nested prefix sums of the weights,
+O((s+1)^2 N) with no convolution, each sum within ``(q+1) (n+1) eps``
+times the same sum of absolute terms, and every node's (s+1) x (s+1)
+Vandermonde system is solved on its own.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -448,16 +453,25 @@ def _monomial_defects(weights: WeightSequence, s: int,
     """Defect of the bare rule on ``t^q`` (dt-scaled units) for q = 0..s.
 
     Returns an array ``d[q, n] = Gamma(q+1)/Gamma(q+1+alpha) n^(q+alpha)
-    - sum_k w_k (n-k)^q`` for every node n up to ``n_max`` (inclusive).
+    - P_q(n)`` for every node n up to ``n_max`` (inclusive), where
+    ``P_q(n) = sum_(k <= n) w_k (n-k)^q``.  Since ``(n-k)^q`` is the sum over
+    m = k..n-1 of ``sum_(p<q) C(q, p) (m-k)^p``, the sums are nested prefix
+    sums: ``P_0 = cumsum(w)`` and ``P_q(n) = sum_(m<n) sum_(p<q) C(q, p)
+    P_p(m)``, O((s+1)^2 N) in all.  Each ``P_q(n)`` is within
+    ``(q+1) (n+1) eps (|w| * x^q)_n`` of the exact sum for weights of any
+    sign; all terms are non-negative for GL and FLMM_TRAP with alpha > 0.
     """
     alpha = weights.alpha
     omega = weights.values[: n_max + 1] / weights.dt**alpha
     nodes = np.arange(n_max + 1, dtype=float)
-    defects = np.empty((s + 1, n_max + 1))
-    for q in range(s + 1):
-        exact = (gamma(q + 1.0) / gamma(q + 1.0 + alpha)) * nodes**(q + alpha)
-        defects[q] = exact - _causal_conv_direct(nodes**q, omega)
-    return defects
+    sums = np.zeros((s + 1, n_max + 1))
+    sums[0] = np.cumsum(omega)
+    for q in range(1, s + 1):
+        np.cumsum(sum(math.comb(q, p) * sums[p, :-1] for p in range(q)),
+                  out=sums[q, 1:])
+    exact = [(gamma(q + 1.0) / gamma(q + 1.0 + alpha)) * nodes**(q + alpha)
+             for q in range(s + 1)]
+    return np.array(exact) - sums
 
 
 def starting_weight_row(weights: WeightSequence, s: int,
@@ -466,8 +480,10 @@ def starting_weight_row(weights: WeightSequence, s: int,
 
     Solves the (s+1) x (s+1) system ``sum_j mu_nj j^q = defect(q, n)``
     (q = 0..s) so that the corrected rule integrates every monomial up to
-    degree ``s`` exactly at node ``n``.  The returned row carries the
-    ``dt^alpha`` scale of the parent weights.
+    degree ``s`` exactly at node ``n``.  The defects are nested prefix sums
+    over weights 0..n (:func:`_monomial_defects`), O((s+1)^2 n); the row is
+    bitwise equal to row ``n`` of :func:`starting_weight_table`.  The
+    returned row carries the ``dt^alpha`` scale of the parent weights.
     """
     _check_starting_args(weights, s)
     if n < s:
@@ -486,6 +502,9 @@ def starting_weight_table(weights: WeightSequence, s: int) -> StartingWeights:
 
     Nodes ``n < s`` get a reduced-degree correction (exactness on
     ``t^0 .. t^n`` only), since the rule at node n sees no later samples.
+    O((s+1)^2 N) for N weights: the defects are nested prefix sums, each
+    within ``(q+1) (n+1) eps (|w| * x^q)_n`` (:func:`_monomial_defects`),
+    and the Vandermonde solves run elementwise over the nodes.
     """
     _check_starting_args(weights, s)
     n_max = len(weights.values) - 1
@@ -515,16 +534,19 @@ def _check_starting_args(weights: WeightSequence, s: int) -> None:
 
 
 def _solve_rows(defect_cols: np.ndarray, s: int) -> np.ndarray:
-    """Solve ``V mu = defect`` for each column; V[q, j] = j^q, 0^0 = 1."""
-    j = np.arange(s + 1, dtype=float)
-    vander = np.vstack([np.ones(s + 1) if q == 0 else j**q
-                        for q in range(s + 1)])
-    try:
-        sol = np.linalg.solve(vander, defect_cols)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"starting-weight system of degree {s} is singular"
-        ) from exc
+    """Solve ``V mu = defect`` for each column; V[q, j] = j^q, 0^0 = 1.
+
+    Bjorck-Pereyra for the dual Vandermonde system on the nodes j = 0..s
+    (Golub & Van Loan, Alg. 4.6.2): integer products and quotients applied
+    row by row, so each column is solved alone and gets the same bits
+    however many columns are solved with it.
+    """
+    sol = np.array(defect_cols, dtype=float)
+    for k in range(1, s):  # the step k = 0 multiplies by the node 0
+        sol[k + 1:] -= k * sol[k:s]
+    for k in range(s - 1, -1, -1):
+        sol[k + 1:] /= k + 1
+        sol[k:s] -= sol[k + 1:]
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError(
             f"starting-weight system of degree {s} produced non-finite "

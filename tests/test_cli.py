@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -278,3 +279,47 @@ def test_runtime_errors_exit_one(capsys):
                            "--scheme", "nc3")
     assert code == 1
     assert "tile" in err
+
+
+#: The commands of the README's "Command line" section, each with the
+#: sha256 and length of its stdout.  ``signal.csv`` is written by the test.
+_README_COMMANDS = [
+    ("coeffs --scheme gl --alpha 0.5 --dt 1 --count 8",
+     "01423825c46181c2bd8cafd3eaa8e6ef552519db0df981e216b4f7ab9b4b697f", 94),
+    ("integrate --f exp --alpha 0.5 --t-end 10 --n 1500 --scheme gl "
+     "--method fft",
+     "077e89b3e20d1961c90e46e18e5f8b8699ee871b05ea8273d27d6b09e3b8c35d",
+     144384),
+    ("integrate --f sin --alpha 0.5 --t-end 5 --n 129 --oracle",
+     "a57d0677caaf0898a9e07cd565db8ae445c3f2f0b08ee8b335a59966636bc263",
+     11508),
+    ("integrate --f csv:signal.csv --alpha 0.5",
+     "695a009dda0dcb4aada7f01da52ed619b5dfa77f119eb5d025937a96164ed040",
+     6791),
+    ("convergence --f exp --alpha 0.5 --t-probe 1 "
+     "--n-list 250,500,1000,2000 --scheme gl",
+     "4a83f1ed7f1e16df11d738d7ae645f75edb54bd76cb5513136d859f3077e8572", 280),
+    ("differentiate --f sin --alpha 0.5 --t-end 40 --n 8001 --method fft",
+     "6663092dc58ecb5195aaaed32e9dac3cebb5c89e83db17b025c03e3b8b8faf9a",
+     714630),
+    ("dielectric --model debye --tau 1 --omega-range 0.01:100:50 "
+     "--log-omega",
+     "c8163e42d12e9c3a9ae0b2a49d2c793e62473772e94ad48b653d2c0e33773c6a",
+     3872),
+    ("dielectric --verify-ratio --n-exp 0.25,0.5,0.75",
+     "e0fc574cf07a2e2631845827d3e0719ee519e8217f1abdb5380033625f1896ac", 220),
+]
+
+
+@pytest.mark.parametrize("command, digest, length", _README_COMMANDS)
+def test_readme_command_bytes(capsys, tmp_path, monkeypatch, command,
+                              digest, length):
+    # 257 samples of 1 + t - t^2/8 on t = k/64, all exact in binary64
+    monkeypatch.chdir(tmp_path)
+    t = [k / 64 for k in range(257)]
+    (tmp_path / "signal.csv").write_text(
+        "t,f\n" + "".join(f"{x!r},{1 + x - x * x / 8!r}\n" for x in t))
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, length)

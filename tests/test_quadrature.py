@@ -29,15 +29,22 @@ from fracquad.quadrature import (
     short_memory_integral,
 )
 from fracquad.derivative import gl_derivative
+from fracquad.special import gamma
 from fracquad.weights import (
     _BLOCK,
     _LEAF_CUTOFF,
     _MODES_CUTOFF,
+    TRAPEZOID_RHO,
+    TRAPEZOID_SIGMA,
     Scheme,
     WeightSequence,
     _modes,
+    _monomial_defects,
+    flmm_weights,
     gl_weights,
     nc0_weights,
+    starting_weight_row,
+    starting_weight_table,
     weights_for_scheme,
 )
 
@@ -499,6 +506,53 @@ def test_flmm_trap_scheme_runs_through_integral():
     assert out[-1] == pytest.approx(want, rel=2e-3)
 
 
+@pytest.mark.parametrize("family, alpha", [
+    ("gl", 0.1), ("gl", 0.6), ("gl", 1.7), ("flmm", 0.05), ("flmm", 0.85),
+    ("miller", 0.5), ("signs", 0.5)])
+@pytest.mark.parametrize("n", [1025, 4097])
+def test_monomial_defects_exact_to_rounding(family, alpha, n):
+    # the nested prefix sums P_q(m) = sum_k w_k (m-k)^q behind the defects,
+    # for weights of both signs, within the direct path's bound
+    w = _engine_case(family, alpha, 1.0 / (n - 1), n)
+    omega = w.values / w.dt**alpha
+    nodes = np.arange(n, dtype=float)
+    defects = _monomial_defects(w, 3, n - 1)
+    check = _block_edge_nodes(n, np.random.default_rng(n + 1))
+    for q in range(4):
+        exact = (gamma(q + 1.0) / gamma(q + 1.0 + alpha)) * nodes**(q + alpha)
+        _assert_exact_to_rounding(nodes**q, omega, exact - defects[q], check)
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+@pytest.mark.parametrize("n", [1025, 1 << 14])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.8])
+@pytest.mark.parametrize("family", ["gl", "flmm"])
+def test_starting_corrections_exact_on_polynomials(family, alpha, s, n,
+                                                   method):
+    # a degree-s polynomial comes out exact at every node m >= s, within
+    # (N + s + 1) eps ((|f| * |w|)_m + |mu_m| . |f_(0..s)|) of the closed form
+    rng = np.random.default_rng(s * n)
+    grid = UniformGrid(2.0 / (n - 1), n)
+    coeffs = rng.uniform(0.5, 2.0, s + 1)
+    f = sum(c * grid.nodes**q for q, c in enumerate(coeffs))
+    w = _engine_case(family, alpha, grid.dt, n)
+    out = frac_integral(SampledSignal(grid, f), w, method=method,
+                        starting_degree=s).values
+    table = starting_weight_table(w, s).table
+    eps = np.finfo(float).eps
+    for m in _block_edge_nodes(n, rng):
+        if m < s:
+            continue
+        want = math.fsum(c * exact_integral_monomial(grid.nodes[m], alpha, q)
+                         for q, c in enumerate(coeffs))
+        scale = (np.dot(np.abs(f[: m + 1]), np.abs(w.values[m::-1]))
+                 + np.dot(np.abs(table[m]), np.abs(f[: s + 1])))
+        assert abs(out[m] - want) <= (n + s + 1) * eps * scale, m
+    for m in (s, 127, 128, n - 1):
+        assert np.array_equal(starting_weight_row(w, s, m), table[m]), m
+
+
 # ------------------------------------------------ sum-of-exponentials engine
 # ``method="fft"`` runs the engine: block lags 0 and 1 exact, older samples
 # through geometric modes.  Its gate is a quarter of the direct path's
@@ -520,6 +574,11 @@ def _engine_case(family, alpha, dt, n):
         return gl_weights(alpha, dt, n)
     if family == "nc0":
         return nc0_weights(alpha, dt, n)
+    if family == "miller":
+        return flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, alpha, dt, n)
+    if family == "signs":
+        signs = np.random.default_rng(n).standard_normal(n)
+        return WeightSequence(Scheme.GL, alpha, dt, signs)
     return weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
 
 
