@@ -16,6 +16,7 @@ endings, floats in shortest round-trip form.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, Sequence
@@ -350,6 +351,7 @@ def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracquad",
@@ -465,10 +467,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except _CliDataError as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return 1
-    except FracquadError as exc:
+    except (_CliDataError, FracquadError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:

@@ -237,7 +237,7 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
         raise AlignmentError(
             f"{n - 1} steps do not tile into panels of {p - 1} steps"
         )
-    m0, m1, m2 = _panel_moments(alpha, n)
+    m0, m1, m2 = moments = _panel_moments(alpha, n)
     if p == 2:
         # panel i spans distances i..i+1, centre 2i+1 in half-step units,
         # where its linear basis is (1 -+ s) / 2 and the kernel scales by
@@ -258,21 +258,20 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
         v[2::2] += far[: (n - 1) // 2]
         v[1::2] = mid[: n // 2]
         columns = np.zeros((3, n))
-        even = np.arange(2, n, 2)
-        odd = np.arange(1, n, 2)
-        columns[0, even] = -near[even // 2]
+        columns[0, 2::2] = -near[1: (n + 1) // 2]
         # odd nodes: the two-step panels end on node 1 and the Toeplitz
         # weight reaching node 0 is replaced by the one-step leading panel
         # on distances m-1..m: centre 2m-1 in half-step units, where nodes
         # 0, 1, 2 sit at s = 1, -1, -3
-        columns[0, odd] = -mid[odd // 2]
-        columns[1, odd] = -near[odd // 2]
-        lead = 2.0**-alpha / 8.0 * np.stack([
-            m2 + 4.0 * m1 + 3.0 * m0,
-            -2.0 * (m2 + 2.0 * m1 - 3.0 * m0),
-            m2 - m0,
+        l0, l1, l2 = moments[:, : n - 1: 2]
+        odd = columns[:, 1::2]
+        odd[:] = 2.0**-alpha / 8.0 * np.stack([
+            l2 + 4.0 * l1 + 3.0 * l0,
+            -2.0 * (l2 + 2.0 * l1 - 3.0 * l0),
+            l2 - l0,
         ])
-        columns[:, odd] += lead[:, odd - 1]
+        odd[0] -= mid[: n // 2]
+        odd[1] -= near[: n // 2]
     f = signal.values
     out = _causal_conv_direct(f, v) + f[: len(columns)] @ columns
     out *= signal.grid.dt**alpha / gamma(alpha)
@@ -280,9 +279,9 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
     return signal.replace_values(out)
 
 
-#: Terms kept of the panel-moment binomial series; at C = 3, the nearest
-#: centre it serves, the omitted tail shrinks like 3^-40.
-_MOMENT_TERMS = 40
+#: Powers of ``y = C^-2`` kept per range of centres: 20 for C < 33 (at C = 3
+#: the tail shrinks like 3^-40), 7 from C = 33 on (y^7 <= 1089^-7 < 1e-21).
+_MOMENT_TERMS = ((slice(0, 16), 20), (slice(16, None), 7))
 
 
 def _panel_moments(alpha: float, n: int) -> np.ndarray:
@@ -292,21 +291,26 @@ def _panel_moments(alpha: float, n: int) -> np.ndarray:
     ``C = 1, 3, ..., 2n - 1``.  C = 1, the panel touching the kernel
     singularity, uses the closed form.  Every other centre sums the series
     ``C^(alpha-1) sum_k C(alpha-1, k) C^-k int s^(q+k) ds``, whose leading
-    term dominates.  The closed form in powers of ``C +- 1`` cancels: it
-    loses a factor of up to ``C^2``, already ~1e-13 relative at C = 3.
+    term dominates: all rows as a (3 x powers) coefficient matrix times one
+    power table of ``C^-2`` per range of ``_MOMENT_TERMS``.  The closed form
+    in powers of ``C +- 1`` cancels: it loses a factor of up to ``C^2``,
+    already ~1e-13 relative at C = 3.
     """
     centres = np.arange(1.0, 2.0 * n, 2.0)
-    k = np.arange(1.0, _MOMENT_TERMS)
+    k = np.arange(1.0, 2 * _MOMENT_TERMS[0][1])
     binom = np.concatenate(([1.0], np.cumprod((alpha - k) / k)))
+    odd = k[::2]  # y^i in row q: 2 C(alpha-1, k) / (q+k+1), k = 2i + q%2
+    coeffs = 2.0 * np.stack([binom[0::2] / odd, binom[1::2] / (odd + 2.0),
+                             binom[0::2] / (odd + 2.0)])
     x = 1.0 / centres
     y = x * x
     moments = np.empty((3, n))
-    for q in range(3):
-        ks = np.arange(q % 2, _MOMENT_TERMS, 2)
-        acc = np.zeros(n)
-        for coeff in (2.0 * binom[ks] / (q + ks + 1))[::-1]:
-            acc = acc * y + coeff
-        moments[q] = acc * x**(q % 2)
+    for centre_range, terms in _MOMENT_TERMS:
+        powers = np.ones((terms, len(y[centre_range])))
+        for i in range(1, terms):  # cumprod, without its slow axis-0 loop
+            np.multiply(powers[i - 1], y[centre_range], out=powers[i])
+        moments[:, centre_range] = coeffs[:, :terms] @ powers
+    moments[1] *= x
     moments *= centres**(alpha - 1.0)
     # C = 1: int_0^2 (u - 1)^q u^(alpha-1) du, reduced to one fraction
     a = alpha

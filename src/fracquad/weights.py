@@ -17,9 +17,10 @@ produced:
     ``dt^alpha / Gamma(alpha+1) * ((k+1)^alpha - k^alpha)``.
 ``Scheme.FLMM_TRAP``
     Fractional trapezoidal linear multistep weights, the series coefficients
-    of ``((1 + z) / (2 (1 - z)))^alpha``: ``(dt/2)^alpha`` times the direct
+    of ``((1 + z) / (2 (1 - z)))^alpha``: ``(dt/2)^alpha`` times the causal
     product of the cumprod series ``a_j = C(alpha, j)`` and ``b_j`` of
-    ``(1 - z)^(-alpha)``, in binary64; weight ``k`` is within
+    ``(1 - z)^(-alpha)``, in binary64 (through the sum-of-exponentials
+    engine from ``_MODES_CUTOFF`` weights); weight ``k`` is within
     ``(k+1) eps (dt/2)^alpha sum_j |a_j b_(k-j)|``.
 
 The generic :func:`flmm_weights` raises an arbitrary implicit multistep
@@ -417,27 +418,26 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
     """Generate weights for any supported scheme tag.
 
     ``Scheme.FLMM_TRAP``: ``w_k = (dt/2)^alpha sum_j C(alpha, j) b_(k-j)``,
-    ``b`` the GL series, within ``(k+1) eps`` times the same sum of absolute
-    terms; a negative ``alpha`` gives the derivative-role weights.
+    ``b`` the GL series at dt = 1, within ``(k+1) eps`` times the same sum
+    of absolute terms, by the engine over ``b``'s far field from
+    ``_MODES_CUTOFF`` weights (7-8 ms at N = 2^16 on one core); a negative
+    ``alpha`` gives the derivative-role weights.
     """
     if scheme is Scheme.GL:
         return gl_weights(alpha, dt, n)
     if scheme is Scheme.NC0:
         return nc0_weights(alpha, dt, n)
     if scheme is Scheme.FLMM_TRAP:
-        alpha = float(alpha)
-        if alpha == 0.0:
-            raise DomainError("order 0 has no weight rule; it is the identity")
         _validate_common(dt, n)
-        k = np.arange(1.0, n)
-        plus = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
-        minus = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k])
+        b = gl_weights(alpha, 1.0, n)  # also rejects order 0
+        alpha, k = b.alpha, np.arange(1.0, n)
+        a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
         scale = (dt / 2.0)**alpha
-        values = _causal_conv_direct(plus, minus) * scale
+        values = _causal_conv_modes(a, b) * scale
         # (1+z)^alpha: GL(-alpha) modes at -z; then GL(alpha) at dt/2
         far = tuple(replace(p, alternating=True)
-                    for p in _far_field(-alpha, 1.0, plus, _gl_g))
-        far += _far_field(alpha, scale, minus[: 2 * _BLOCK] * scale, _gl_g)
+                    for p in _far_field(-alpha, 1.0, a, _gl_g))
+        far += _far_field(alpha, scale, b.values[: 2 * _BLOCK] * scale, _gl_g)
         return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values, far)
     raise DomainError(f"unknown scheme {scheme!r}")
 
@@ -510,13 +510,10 @@ def starting_weight_table(weights: WeightSequence, s: int) -> StartingWeights:
     n_max = len(weights.values) - 1
     defects = _monomial_defects(weights, s, n_max)
     table = np.zeros((n_max + 1, s + 1))
-    full_nodes = np.arange(s, n_max + 1)
-    if full_nodes.size:
+    if n_max >= s:
         table[s:] = _solve_rows(defects[:, s:], s)
     for n in range(min(s, n_max + 1)):
-        deg = n
-        table[n, : deg + 1] = _solve_rows(
-            defects[: deg + 1, n: n + 1], deg)[0]
+        table[n, : n + 1] = _solve_rows(defects[: n + 1, n: n + 1], n)[0]
     table *= weights.dt**weights.alpha
     return StartingWeights(s, weights.dt, weights.alpha, table)
 

@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracquad
 from fracquad.cli import main
 
 
@@ -279,6 +284,28 @@ def test_runtime_errors_exit_one(capsys):
                            "--scheme", "nc3")
     assert code == 1
     assert "tile" in err
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    # main() reuses one parser per process: each call's stdout and exit code
+    # match a fresh process given the same argv, a usage error included
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(fracquad.__file__).resolve().parents[1])
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    coeffs = ["coeffs", "--scheme", "flmm-trap", "--alpha", "0.3", "--dt",
+              "0.1", "--count", "20"]
+    for argv, want_code in (
+            (coeffs, 0),
+            (["coeffs", "--scheme", "bogus", "--alpha", "1", "--dt", "1",
+              "--count", "2"], 2),
+            (["integrate", "--f", "exp", "--alpha", "0.5", "--t-end", "1",
+              "--n", "65", "--scheme", "nc3"], 0),
+            (coeffs, 0)):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "fracquad.cli", *argv],
+                               env=env, capture_output=True)
+        assert (code, fresh.returncode) == (want_code, want_code), argv
+        assert out.encode() == fresh.stdout, argv
 
 
 #: The commands of the README's "Command line" section, each with the

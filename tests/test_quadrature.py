@@ -23,6 +23,7 @@ from fracquad.oracle import (
 from fracquad.quadrature import (
     SampledSignal,
     UniformGrid,
+    _panel_moments,
     frac_integral,
     frac_newton_cotes,
     frac_trapezoid,
@@ -38,6 +39,7 @@ from fracquad.weights import (
     TRAPEZOID_SIGMA,
     Scheme,
     WeightSequence,
+    _causal_conv_direct,
     _modes,
     _monomial_defects,
     flmm_weights,
@@ -243,6 +245,25 @@ def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha):
             t = m * mpmath.mpf(grid.dt)
             want = t**a * mpmath.polyval(scale[::-1], t)
             assert abs(mpmath.mpf(out[m]) - want) <= n * eps * want, m
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 2.3, 4.3])
+def test_panel_moments_against_mpmath(alpha):
+    # int_{-1}^{1} s^q (C + s)^(alpha-1) ds on both sides of the series'
+    # truncation switch at C = 33, as (1/alpha) int (v^(1/alpha) - C)^q dv
+    # over v = (C + s)^alpha, whose integrand stays smooth at C = 1
+    n = 4097
+    moments = _panel_moments(alpha, n)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for c in (1, 3, 5, 9, 31, 33, 35, 2 * n - 1):
+            for q in range(3):
+                want = mpmath.quad(lambda v: (v**(1 / a) - c)**q,
+                                   [(c - 1)**a, c**a, (c + 1)**a]) / a
+                got = moments[q, (c - 1) // 2]
+                assert abs(mpmath.mpf(got) - want) <= 4 * eps * abs(want), \
+                    (c, q)
 
 
 def _two_product(a, b):
@@ -627,6 +648,21 @@ def test_fft_engine_exact_to_rounding(family, alpha, n):
         _assert_exact_to_rounding(f, weights.values, out,
                                   _engine_nodes(len(f), rng),
                                   share=_ENGINE_SHARE)
+
+
+@pytest.mark.parametrize("n", [_MODES_CUTOFF, 5003, 1 << 14])
+@pytest.mark.parametrize("alpha", [0.3, 0.8, -0.5])
+def test_flmm_trap_weights_from_engine_exact_to_rounding(alpha, n):
+    # from _MODES_CUTOFF on the FLMM_TRAP weights are the engine's product
+    # of the binary64 (1+z)^alpha and (1-z)^(-alpha) series; at dt = 2 no
+    # scale rounds, and weight k is within (k+1) eps sum_j |a_j b_(k-j)|
+    k = np.arange(1.0, n)
+    plus = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
+    minus = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k])
+    got = weights_for_scheme(Scheme.FLMM_TRAP, alpha, 2.0, n).values
+    assert not np.array_equal(got, _causal_conv_direct(plus, minus))
+    for m in _engine_nodes(n, np.random.default_rng(n)):
+        _assert_exact_to_rounding(plus[: m + 1], minus, got, [m])
 
 
 @pytest.mark.parametrize("family, alpha, n", [
