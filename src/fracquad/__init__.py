@@ -70,18 +70,15 @@ from .quadrature import (
 )
 from .special import (
     gamma,
-    generalized_binomial,
     log_gamma,
     lower_incomplete_gamma,
 )
 from .weights import (
     Scheme,
-    StartingWeights,
     WeightSequence,
     flmm_weights,
     gl_weights,
     nc0_weights,
-    starting_weight_row,
     starting_weight_table,
     weights_for_scheme,
 )
@@ -96,12 +93,10 @@ __all__ = [
     # weights
     "Scheme",
     "WeightSequence",
-    "StartingWeights",
     "gl_weights",
     "nc0_weights",
     "flmm_weights",
     "weights_for_scheme",
-    "starting_weight_row",
     "starting_weight_table",
     # quadrature
     "frac_integral",
@@ -116,7 +111,6 @@ __all__ = [
     "gamma",
     "log_gamma",
     "lower_incomplete_gamma",
-    "generalized_binomial",
     # oracles
     "exact_integral_const",
     "exact_integral_exp",

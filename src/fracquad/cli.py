@@ -29,6 +29,7 @@ from .dielectric import (
     DebyeModel,
     LorentzEnsemble,
     UniversalResponse,
+    _time_grid,
     debye_susceptibility,
     fractional_polarization,
     lorentz_susceptibility,
@@ -48,9 +49,8 @@ from .weights import Scheme, weights_for_scheme
 
 __all__ = ["main"]
 
-_WEIGHT_SCHEMES = {"gl": Scheme.GL, "nc0": Scheme.NC0,
-                   "flmm-trap": Scheme.FLMM_TRAP}
-_RULE_CHOICES = [*_WEIGHT_SCHEMES, "trap", "nc3"]
+_SCHEME_NAMES = [scheme.value for scheme in Scheme]
+_RULE_CHOICES = [*_SCHEME_NAMES, "trap", "nc3"]
 _METHOD_HELP = "direct (default) or fft: a sum-of-exponentials engine, no FFT"
 
 
@@ -150,9 +150,9 @@ def _exact_integral_column(kind, args, alpha, t, f_callable, use_oracle):
 
 
 def _apply_rule(signal, rule, alpha, method, memory, starting):
-    if rule in _WEIGHT_SCHEMES:
-        scheme = _WEIGHT_SCHEMES[rule]
-        w = weights_for_scheme(scheme, alpha, signal.grid.dt, signal.grid.n)
+    if rule in _SCHEME_NAMES:
+        w = weights_for_scheme(Scheme(rule), alpha, signal.grid.dt,
+                               signal.grid.n)
         if memory is not None:
             return short_memory_integral(signal, w, memory, method=method)
         return frac_integral(signal, w, method=method,
@@ -172,7 +172,7 @@ def _apply_rule(signal, rule, alpha, method, memory, starting):
 # -------------------------------------------------------------- subcommands
 
 def _cmd_coeffs(args) -> None:
-    scheme = _WEIGHT_SCHEMES[args.scheme]
+    scheme = Scheme(args.scheme)
     alpha = args.alpha
     if args.derivative:
         if scheme is Scheme.NC0:
@@ -209,8 +209,8 @@ def _cmd_differentiate(args) -> None:
         out = gl_derivative(signal, alpha, direction=args.direction,
                             method=args.method)
     else:
-        scheme = _WEIGHT_SCHEMES[args.scheme]
-        out = rl_derivative_via_integral(signal, alpha, scheme=scheme,
+        out = rl_derivative_via_integral(signal, alpha,
+                                         scheme=Scheme(args.scheme),
                                          method=args.method)
     t = signal.grid.nodes
     exact = _exact_derivative_column(kind, args, alpha, t)
@@ -246,6 +246,8 @@ def _cmd_convergence(args) -> None:
     n_list = args.n_list
     if len(n_list) < 3:
         raise _UsageError("--n-list needs at least 3 grid sizes")
+    if min(n_list) < 2:
+        raise _UsageError("--n-list sizes must be at least 2")
     fn = _builtin_integrand(args.f, args)
     exact = _exact_integral_column(args.f, args, args.alpha, [args.t_probe],
                                    lambda u: float(fn(u)), True)[0]
@@ -304,7 +306,7 @@ def _cmd_dielectric(args) -> None:
         for n_exp in args.n_exp:
             check = verify_universal_ratio(
                 n_exp, omega0=args.omega0, dt=args.dt, t_end=args.t_end,
-                scheme=_WEIGHT_SCHEMES[args.scheme])
+                scheme=Scheme(args.scheme))
             rel_dev = abs(check.numeric - check.analytic) / abs(check.analytic)
             rows.append((n_exp, check.analytic, check.numeric, rel_dev))
         _emit(("n", "analytic", "numeric", "rel_dev"), *zip(*rows))
@@ -313,12 +315,11 @@ def _cmd_dielectric(args) -> None:
         if len(args.n_exp) != 1:
             raise _UsageError("--time-domain takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
-        n = int(round(args.t_end / args.dt)) + 1
-        grid = UniformGrid(args.dt, n)
+        grid = _time_grid(args.dt, args.t_end)
         field = SampledSignal(grid, np.sin(args.omega0 * grid.nodes))
         pol = fractional_polarization(
             field, model.alpha, eps0=args.eps0,
-            scheme=_WEIGHT_SCHEMES[args.scheme])
+            scheme=Scheme(args.scheme))
         _emit(("t", "E", "P"), grid.nodes, field.values, pol.values)
         return
     omegas = _parse_omega_range(args.omega_range, args.log_omega)
@@ -361,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeffs = sub.add_parser("coeffs", help="dump convolution weights")
-    coeffs.add_argument("--scheme", choices=sorted(_WEIGHT_SCHEMES),
+    coeffs.add_argument("--scheme", choices=sorted(_SCHEME_NAMES),
                         required=True)
     coeffs.add_argument("--alpha", type=float, required=True)
     coeffs.add_argument("--dt", type=float, required=True)
@@ -403,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_signal_args(diff, with_oracle=False)
     diff.add_argument("--route", choices=["gl", "rl"], default="gl",
                       help="direct GL sum or composition through an integral")
-    diff.add_argument("--scheme", choices=sorted(_WEIGHT_SCHEMES),
+    diff.add_argument("--scheme", choices=sorted(_SCHEME_NAMES),
                       default="gl", help="quadrature backing the rl route")
     diff.add_argument("--direction", choices=["backward", "forward"],
                       default="backward")
@@ -450,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diel.add_argument("--omega0", type=float, default=2.0 * math.pi)
     diel.add_argument("--dt", type=float, default=5e-4)
     diel.add_argument("--t-end", dest="t_end", type=float, default=20.0)
-    diel.add_argument("--scheme", choices=sorted(_WEIGHT_SCHEMES),
+    diel.add_argument("--scheme", choices=sorted(_SCHEME_NAMES),
                       default="gl")
     diel.set_defaults(func=_cmd_dielectric)
     return parser

@@ -201,6 +201,14 @@ def fractional_polarization(
     return e_field.replace_values(eps0 * out.values)
 
 
+def _time_grid(dt: float, t_end: float) -> UniformGrid:
+    """The grid of step ``dt`` whose last node is nearest ``t_end``."""
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise DomainError(f"dt and t_end must be positive and finite, got "
+                          f"dt={dt!r}, t_end={t_end!r}")
+    return UniformGrid(dt, int(round(t_end / dt)) + 1)
+
+
 class RatioCheck(NamedTuple):
     """Analytic vs. time-domain-extracted loss tangent."""
 
@@ -233,8 +241,7 @@ def verify_universal_ratio(
     alpha = model.alpha
     if not omega0 > 0.0:
         raise DomainError(f"probe frequency must be positive, got {omega0!r}")
-    n = int(round(t_end / dt)) + 1
-    grid = UniformGrid(dt, n)
+    grid = _time_grid(dt, t_end)
     t = grid.nodes
     field = SampledSignal(grid, np.sin(omega0 * t))
     pol = fractional_polarization(field, alpha, scheme=scheme, method=method)

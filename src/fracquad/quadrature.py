@@ -1,14 +1,18 @@
 """Left-sided fractional integrals of sampled signals.
 
 The evaluators here are discrete causal convolutions between weight
-sequences and signal samples on a uniform grid anchored at t = 0.  The
-index conventions are kept exactly as the underlying rules define them:
+sequences and signal samples on a uniform grid anchored at t = 0, all
+taken by one evaluator, ``_evaluate``:
+``out[n] = sum_{j=0..n} w_j f_(n-j) + sum_k head[n, k] f_k``, the head
+being the optional starting corrections on the first nodes.  The index
+conventions are kept exactly as the underlying rules define them:
 
 * convolution-quadrature rules (GL, FLMM) reference the sample at the
-  output node itself:  ``out[n] = sum_{j=0..n} w_j f_(n-j)``;
-* panel rules (NC0 and the fractional trapezoid built on it) sum over the
-  ``n`` panels left of the output node:
-  ``out[n] = sum_{k=0..n-1} f_k w_(n-1-k)`` with ``out[0] = 0``;
+  output node itself;
+* panel rules (NC0, and the fractional trapezoid, which is NC0 applied to
+  the panel averages) sum over the ``n`` panels left of the output node:
+  ``out[n] = sum_{k=0..n-1} f_k w_(n-1-k)`` with ``out[0] = 0``, which the
+  evaluator takes as a one-sample shift of the input;
 * the 2- and 3-point Newton-Cotes rules add starting columns on the first
   ``p`` nodes to a node-distance sequence:
   ``out[n] = sum_{j=0..n} v_j f_(n-j) + sum_{k<p} s_k(n) f_k``, ``out[0] = 0``.
@@ -64,8 +68,9 @@ class UniformGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise DomainError(f"grid step must be positive, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"grid step must be positive and finite, "
+                              f"got {self.dt!r}")
         if self.n < 1:
             raise DomainError(f"grid needs >= 1 node, got {self.n}")
 
@@ -109,14 +114,6 @@ class SampledSignal:
         return SampledSignal(self.grid, values)
 
 
-def _causal_conv(f: np.ndarray, w: WeightSequence, method: str) -> np.ndarray:
-    if method == "direct":
-        return _causal_conv_direct(f, w.values)
-    if method == "fft":
-        return _causal_conv_modes(f, w)
-    raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
-
-
 def _check_compatibility(signal: SampledSignal,
                          weights: WeightSequence) -> None:
     dt = signal.grid.dt
@@ -132,14 +129,26 @@ def _check_compatibility(signal: SampledSignal,
         )
 
 
-def _convolve_by_convention(values: np.ndarray, weights: WeightSequence,
-                            method: str) -> np.ndarray:
+def _evaluate(f: np.ndarray, weights: WeightSequence, method: str,
+              head: np.ndarray | None = None) -> np.ndarray:
+    """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k``.
+
+    Panel rules take their convention here, once: the input moves one
+    sample later (``f_(-1) = 0``), so ``out[n]`` sums panels 0..n-1 and
+    ``out[0] = 0``.
+    """
+    g = f
     if weights.scheme.panel_based:
-        out = np.zeros(len(values))
-        if len(values) > 1:
-            out[1:] = _causal_conv(values, weights, method)[:-1]
-        return out
-    return _causal_conv(values, weights, method)
+        g = np.concatenate(([0.0], f[:-1]))
+    if method == "direct":
+        out = _causal_conv_direct(g, weights.values)
+    elif method == "fft":
+        out = _causal_conv_modes(g, weights)
+    else:
+        raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
+    if head is not None:
+        out += head @ f[: head.shape[1]]
+    return out
 
 
 def frac_integral(
@@ -169,41 +178,33 @@ def frac_integral(
         Off by default.
     """
     _check_compatibility(signal, weights)
-    out = _convolve_by_convention(signal.values, weights, method)
+    head = None
     if starting_degree is not None:
-        out = out + _starting_correction(signal, weights, starting_degree)
-    return signal.replace_values(out)
-
-
-def _starting_correction(signal: SampledSignal, weights: WeightSequence,
-                         s: int) -> np.ndarray:
-    table = starting_weight_table(weights, s).table[: signal.grid.n]
-    head = signal.values[: s + 1]
-    if len(head) < s + 1:
-        raise DomainError(
-            f"signal too short for degree-{s} starting corrections"
-        )
-    return table @ head
+        if signal.grid.n <= starting_degree:
+            raise DomainError(f"signal too short for degree-"
+                              f"{starting_degree} starting corrections")
+        head = starting_weight_table(weights, starting_degree)[: signal.grid.n]
+    return signal.replace_values(_evaluate(signal.values, weights, method,
+                                           head))
 
 
 def frac_trapezoid(signal: SampledSignal, alpha: float,
                    method: str = "direct") -> SampledSignal:
     """Fractional composite trapezoid rule.
 
-    Convolves panel midpoint averages ``(f_k + f_(k+1)) / 2`` with the NC0
-    panel weights; reduces to the classical composite trapezoid rule at
-    ``alpha = 1``.
+    The NC0 rule applied to the panel averages ``(f_k + f_(k+1)) / 2``
+    (one panel fewer than nodes, padded with a 0 that no node reaches);
+    reduces to the classical composite trapezoid rule at ``alpha = 1``.
     """
     if not alpha > 0.0:
         raise DomainError(f"trapezoid rule requires alpha > 0, got {alpha!r}")
     n = signal.grid.n
     if n < 2:
         raise DomainError("trapezoid rule needs at least 2 samples")
-    c = nc0_weights(alpha, signal.grid.dt, n - 1)
-    averages = 0.5 * (signal.values[:-1] + signal.values[1:])
-    out = np.zeros(n)
-    out[1:] = _causal_conv(averages, c, method)
-    return signal.replace_values(out)
+    f = signal.values
+    averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
+    c = nc0_weights(alpha, signal.grid.dt, n)
+    return signal.replace_values(_evaluate(averages, c, method))
 
 
 def frac_newton_cotes(signal: SampledSignal, alpha: float,
@@ -341,6 +342,5 @@ def short_memory_integral(
             f"memory length must be in [1, {n}], got {memory_length}"
         )
     _check_compatibility(signal, weights)
-    truncated = weights.truncated(memory_length)
-    out = _convolve_by_convention(signal.values, truncated, method)
+    out = _evaluate(signal.values, weights.truncated(memory_length), method)
     return signal.replace_values(out)

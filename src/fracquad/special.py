@@ -1,13 +1,13 @@
-"""Scalar special-function kernel: gamma, log-gamma, the lower incomplete
-gamma function and generalized binomial coefficients.
+"""Scalar special-function kernel: gamma, log-gamma and the lower
+incomplete gamma function.
 
 Evaluation policy
 -----------------
 ``gamma`` refuses arguments above 170: past that point ``exp(log_gamma(x))``
 is the only safe route, and forcing callers through it keeps factorial-style
-overflow out of every downstream recurrence.  Binomial coefficients are never
-formed from gamma ratios for the same reason; a product recurrence is exact
-in the index and immune to intermediate overflow.
+overflow out of every downstream recurrence.  For the same reason the weight
+generators form binomial coefficients as cumulative products, never from
+gamma ratios.
 
 The lower incomplete gamma function uses the positive-term series
 
@@ -30,7 +30,6 @@ __all__ = [
     "gamma",
     "log_gamma",
     "lower_incomplete_gamma",
-    "generalized_binomial",
 ]
 
 #: Largest argument ``gamma`` accepts.  Documented factorial overflow sets in
@@ -151,19 +150,3 @@ def _complete_minus_upper_tail(t: float, alpha: float) -> float:
     complete = math.exp(math.lgamma(alpha))
     return complete - math.exp(log_tail)
 
-
-def generalized_binomial(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient ``C(alpha, k)`` for real ``alpha``.
-
-    Computed by the product recurrence ``C(alpha, k) =
-    C(alpha, k-1) * (alpha - k + 1) / k`` starting from ``C(alpha, 0) = 1``,
-    never from gamma ratios, so it stays finite for any index.
-    """
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"generalized_binomial requires k >= 0, got {k}")
-    alpha = float(alpha)
-    value = 1.0
-    for j in range(1, k + 1):
-        value *= (alpha - j + 1) / j
-    return value

@@ -27,12 +27,11 @@ The generic :func:`flmm_weights` raises an arbitrary implicit multistep
 method ``(rho, sigma)`` to a real power via series division followed by the
 J.C.P. Miller recurrence, an independent check on the closed forms.
 Starting-weight corrections that restore polynomial exactness near the
-origin are provided by
-:func:`starting_weight_row` / :func:`starting_weight_table`: the defects of
-the bare rule on ``t^0 .. t^s`` are nested prefix sums of the weights,
-O((s+1)^2 N) with no convolution, each sum within ``(q+1) (n+1) eps``
-times the same sum of absolute terms, and every node's (s+1) x (s+1)
-Vandermonde system is solved on its own.
+origin are the read-only (N, s+1) array of :func:`starting_weight_table`:
+the defects of the bare rule on ``t^0 .. t^s`` are nested prefix sums of
+the weights, O((s+1)^2 N) with no convolution, each sum within
+``(q+1) (n+1) eps`` times the same sum of absolute terms, and every node's
+(s+1) x (s+1) Vandermonde system is solved on its own.
 """
 
 from __future__ import annotations
@@ -54,14 +53,12 @@ from .special import gamma
 __all__ = [
     "Scheme",
     "WeightSequence",
-    "StartingWeights",
     "TRAPEZOID_RHO",
     "TRAPEZOID_SIGMA",
     "gl_weights",
     "nc0_weights",
     "flmm_weights",
     "weights_for_scheme",
-    "starting_weight_row",
     "starting_weight_table",
 ]
 
@@ -134,26 +131,6 @@ class WeightSequence:
             )
         return WeightSequence(self.scheme, self.alpha, self.dt,
                               self.values[:length])
-
-
-@dataclass(frozen=True)
-class StartingWeights:
-    """Per-node correction weights restoring exactness on ``t^0 .. t^s``.
-
-    ``table[n, j]`` multiplies the sample ``f_j`` (corrections are attached
-    to the first ``s + 1`` grid nodes) and already carries the ``dt^alpha``
-    scale of the parent weight sequence.
-    """
-
-    degree: int
-    dt: float
-    alpha: float
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
 
 
 #: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
@@ -269,9 +246,12 @@ def _gl_g(u: np.ndarray, order: float) -> np.ndarray:
     return np.exp(-u * order) * (u / -np.expm1(-u))**order
 
 
-def _validate_common(dt: float, n: int) -> None:
-    if not dt > 0.0:
-        raise DomainError(f"grid step must be positive, got {dt!r}")
+def _validate_common(alpha: float, dt: float, n: int) -> None:
+    if not math.isfinite(alpha):
+        raise DomainError(f"order must be finite, got {alpha!r}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"grid step must be positive and finite, "
+                          f"got {dt!r}")
     if n < 1:
         raise DomainError(f"weight count must be >= 1, got {n}")
 
@@ -284,7 +264,7 @@ def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     negated).  The coefficient ratio ``w_k / w_(k-1) = (k - 1 + alpha) / k``
     makes the whole sequence a single cumulative product.
     """
-    _validate_common(dt, n)
+    _validate_common(alpha, dt, n)
     alpha = float(alpha)
     if alpha == 0.0:
         raise DomainError("order 0 has no weight rule; it is the identity")
@@ -301,7 +281,7 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     The bracket is evaluated as ``k^alpha * expm1(alpha * log1p(1/k))`` so
     no digits are lost to cancellation at large ``k``.
     """
-    _validate_common(dt, n)
+    _validate_common(alpha, dt, n)
     alpha = float(alpha)
     if not alpha > 0.0:
         raise DomainError(f"NC0 weights require alpha > 0, got {alpha!r}")
@@ -348,7 +328,7 @@ def flmm_weights(
     DegenerateMethodError
         If ``u_0 = 0``, i.e. the method is explicit and unusable here.
     """
-    _validate_common(dt, n)
+    _validate_common(alpha, dt, n)
     alpha = float(alpha)
     num = _reversed_padded(numerator)
     den = _reversed_padded(denominator)
@@ -428,7 +408,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
     if scheme is Scheme.NC0:
         return nc0_weights(alpha, dt, n)
     if scheme is Scheme.FLMM_TRAP:
-        _validate_common(dt, n)
+        _validate_common(alpha, dt, n)
         b = gl_weights(alpha, 1.0, n)  # also rejects order 0
         alpha, k = b.alpha, np.arange(1.0, n)
         a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
@@ -474,51 +454,19 @@ def _monomial_defects(weights: WeightSequence, s: int,
     return np.array(exact) - sums
 
 
-def starting_weight_row(weights: WeightSequence, s: int,
-                        n: int) -> np.ndarray:
-    """Correction weights ``mu_(n,0..s)`` for grid node ``n``.
+def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
+    """Correction weights ``mu[n, j]`` for every node n of the parent weights.
 
-    Solves the (s+1) x (s+1) system ``sum_j mu_nj j^q = defect(q, n)``
-    (q = 0..s) so that the corrected rule integrates every monomial up to
-    degree ``s`` exactly at node ``n``.  The defects are nested prefix sums
-    over weights 0..n (:func:`_monomial_defects`), O((s+1)^2 n); the row is
-    bitwise equal to row ``n`` of :func:`starting_weight_table`.  The
-    returned row carries the ``dt^alpha`` scale of the parent weights.
-    """
-    _check_starting_args(weights, s)
-    if n < s:
-        raise DomainError(f"node index must satisfy n >= s, got n={n}, s={s}")
-    if len(weights.values) < n + 1:
-        raise DomainError(
-            f"weight sequence of length {len(weights.values)} cannot "
-            f"correct node {n}"
-        )
-    row = _solve_rows(_monomial_defects(weights, s, n)[:, n: n + 1], s)[0]
-    return row * weights.dt**weights.alpha
-
-
-def starting_weight_table(weights: WeightSequence, s: int) -> StartingWeights:
-    """Correction table for every node of the parent weight sequence.
-
-    Nodes ``n < s`` get a reduced-degree correction (exactness on
-    ``t^0 .. t^n`` only), since the rule at node n sees no later samples.
+    Row n multiplies the samples ``f_0 .. f_s`` and carries the ``dt^alpha``
+    scale of the parent weights; the (N, s+1) array is read-only.  Row n
+    solves ``sum_j mu_nj j^q = defect(q, n)``, q = 0..s, so the corrected
+    rule integrates every monomial up to degree s exactly.  Nodes ``n < s``
+    get a reduced-degree correction (exactness on ``t^0 .. t^n`` only),
+    since the rule at node n sees no later samples.
     O((s+1)^2 N) for N weights: the defects are nested prefix sums, each
     within ``(q+1) (n+1) eps (|w| * x^q)_n`` (:func:`_monomial_defects`),
     and the Vandermonde solves run elementwise over the nodes.
     """
-    _check_starting_args(weights, s)
-    n_max = len(weights.values) - 1
-    defects = _monomial_defects(weights, s, n_max)
-    table = np.zeros((n_max + 1, s + 1))
-    if n_max >= s:
-        table[s:] = _solve_rows(defects[:, s:], s)
-    for n in range(min(s, n_max + 1)):
-        table[n, : n + 1] = _solve_rows(defects[: n + 1, n: n + 1], n)[0]
-    table *= weights.dt**weights.alpha
-    return StartingWeights(s, weights.dt, weights.alpha, table)
-
-
-def _check_starting_args(weights: WeightSequence, s: int) -> None:
     if weights.scheme.panel_based:
         raise DomainError(
             "starting corrections are defined for the convolution-"
@@ -528,6 +476,16 @@ def _check_starting_args(weights: WeightSequence, s: int) -> None:
         raise DomainError(f"correction degree must be in 0..3, got {s}")
     if not weights.alpha > 0:
         raise DomainError("starting corrections apply to integral orders")
+    n_max = len(weights.values) - 1
+    defects = _monomial_defects(weights, s, n_max)
+    table = np.zeros((n_max + 1, s + 1))
+    if n_max >= s:
+        table[s:] = _solve_rows(defects[:, s:], s)
+    for n in range(min(s, n_max + 1)):
+        table[n, : n + 1] = _solve_rows(defects[: n + 1, n: n + 1], n)[0]
+    table *= weights.dt**weights.alpha
+    table.setflags(write=False)
+    return table
 
 
 def _solve_rows(defect_cols: np.ndarray, s: int) -> np.ndarray:

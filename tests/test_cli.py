@@ -269,6 +269,13 @@ def test_usage_errors_exit_two(capsys):
                    "--memory", "8")[0] == 2
 
 
+def test_convergence_grid_below_two_nodes_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "convergence", "--f", "exp", "--alpha",
+                           "0.5", "--t-probe", "1", "--n-list", "1,2,4")
+    assert code == 2
+    assert "at least 2" in err
+
+
 def test_oracle_with_csv_rejected(capsys, tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("t,f\n0.0,1.0\n0.5,1.0\n1.0,1.0\n")
@@ -284,6 +291,25 @@ def test_runtime_errors_exit_one(capsys):
                            "--scheme", "nc3")
     assert code == 1
     assert "tile" in err
+
+
+@pytest.mark.parametrize("alpha, dt", [("nan", "1"), ("inf", "1"),
+                                       ("0.5", "inf")])
+def test_coeffs_non_finite_order_or_step_exit_one(capsys, alpha, dt):
+    code, out, err = run_cli(capsys, "coeffs", "--scheme", "gl", "--alpha",
+                             alpha, "--dt", dt, "--count", "3")
+    assert (code, out) == (1, "")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("mode", ["--verify-ratio", "--time-domain"])
+@pytest.mark.parametrize("grid", [("--dt", "0"), ("--dt", "nan"),
+                                  ("--dt", "-1"), ("--t-end", "inf")],
+                         ids=" ".join)
+def test_dielectric_bad_time_grid_exit_one(capsys, mode, grid):
+    code, out, err = run_cli(capsys, "dielectric", mode, *grid)
+    assert (code, out) == (1, "")
+    assert "positive and finite" in err
 
 
 def test_parser_reuse_keeps_no_state(capsys):

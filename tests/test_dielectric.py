@@ -186,6 +186,15 @@ def test_fractional_polarization_domain():
         fractional_polarization(field, 1.0)
 
 
+@pytest.mark.parametrize("grid", [{"dt": 0.0}, {"dt": math.nan},
+                                  {"dt": math.inf}, {"t_end": 0.0},
+                                  {"t_end": math.nan}, {"t_end": -20.0}],
+                         ids=repr)
+def test_verify_universal_ratio_rejects_bad_time_grid(grid):
+    with pytest.raises(DomainError):
+        verify_universal_ratio(0.5, **grid)
+
+
 def test_verify_universal_ratio_bands():
     checks: dict[float, RatioCheck] = {}
     for n_exp in (0.25, 0.5, 0.75):

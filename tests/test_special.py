@@ -7,7 +7,6 @@ import pytest
 from fracquad.exceptions import DomainError, PoleError
 from fracquad.special import (
     gamma,
-    generalized_binomial,
     log_gamma,
     lower_incomplete_gamma,
 )
@@ -146,49 +145,3 @@ def test_lower_incomplete_gamma_domain():
     with pytest.raises(DomainError):
         lower_incomplete_gamma(1.0, -2.0)
 
-
-def test_generalized_binomial_classical():
-    assert generalized_binomial(3, 2) == pytest.approx(3.0, abs=1e-15)
-    assert generalized_binomial(-0.5, 2) == pytest.approx(0.375, rel=1e-15)
-    assert generalized_binomial(2.5, 0) == 1.0
-
-
-def _binomial_via_log_gamma(alpha, k):
-    # sign-tracked log-gamma route, usable while alpha - k + 1 < 0
-    num = mpmath.gamma(alpha + 1)
-    den = mpmath.gamma(k + 1) * mpmath.gamma(alpha - k + 1)
-    return float(num / den)
-
-
-def test_generalized_binomial_large_index():
-    got = generalized_binomial(0.5, 400)
-    want = _binomial_via_log_gamma(mpmath.mpf("0.5"), 400)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_generalized_binomial_pascal_identity():
-    ks = list(range(0, 101, 7))
-    for alpha in np.linspace(-2.0, 2.0, 17):
-        for k in ks:
-            lhs = generalized_binomial(alpha, k)
-            rhs = generalized_binomial(alpha - 1, k)
-            if k > 0:
-                rhs += generalized_binomial(alpha - 1, k - 1)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
-def test_generalized_binomial_integer_cutoff(n):
-    for k in range(n + 1, n + 6):
-        assert abs(generalized_binomial(n, k)) <= 1e-15
-
-
-def test_generalized_binomial_magnitude_decreasing():
-    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-        mags = [abs(generalized_binomial(alpha, k)) for k in range(1, 60)]
-        assert all(a >= b for a, b in zip(mags, mags[1:]))
-
-
-def test_generalized_binomial_rejects_negative_index():
-    with pytest.raises(DomainError):
-        generalized_binomial(0.5, -1)

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from fracquad.weights import (
     flmm_weights,
     gl_weights,
     nc0_weights,
-    starting_weight_row,
     starting_weight_table,
     weights_for_scheme,
 )
@@ -26,12 +27,10 @@ def test_gl_weights_examples():
 
 def test_gl_weights_match_binomial_definition():
     # values[k] = dt^alpha (-1)^k C(-alpha, k)
-    from fracquad.special import generalized_binomial
-
     alpha, dt = 0.7, 0.2
     w = gl_weights(alpha, dt, 30).values
     for k in range(30):
-        want = dt**alpha * (-1) ** k * generalized_binomial(-alpha, k)
+        want = dt**alpha * (-1) ** k * float(mpmath.binomial(-alpha, k))
         assert w[k] == pytest.approx(want, rel=1e-13)
 
 
@@ -41,8 +40,6 @@ def test_gl_integral_weights_positive():
 
 
 def test_gl_derivative_weights_signs_and_sums():
-    from fracquad.special import generalized_binomial
-
     for alpha in (0.25, 0.5, 0.75):
         n = 2000
         dt = 0.5
@@ -55,7 +52,7 @@ def test_gl_derivative_weights_signs_and_sums():
         assert np.all(partial > 0.0)
         assert np.all(np.diff(partial) < 0.0)
         want_last = (dt**-alpha * (-1) ** (n - 1)
-                     * generalized_binomial(alpha - 1.0, n - 1))
+                     * float(mpmath.binomial(alpha - 1.0, n - 1)))
         assert partial[-1] == pytest.approx(want_last, rel=1e-10)
         assert partial[-1] < 0.2 * partial[0]
 
@@ -69,6 +66,26 @@ def test_gl_weights_domain():
         gl_weights(0.0, 1.0, 4)
     with pytest.raises(DomainError):
         gl_weights(0.5, 1.0, 0)
+
+
+_GENERATORS = {
+    "gl": gl_weights,
+    "nc0": nc0_weights,
+    "flmm": lambda a, dt, n: flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO,
+                                          a, dt, n),
+    "flmm-trap": lambda a, dt, n: weights_for_scheme(Scheme.FLMM_TRAP,
+                                                     a, dt, n),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("family", sorted(_GENERATORS))
+def test_non_finite_order_or_step_rejected(family, bad):
+    # a NaN or infinite order or step would come out as NaN/inf weights
+    with pytest.raises(DomainError):
+        _GENERATORS[family](bad, 0.1, 8)
+    with pytest.raises(DomainError):
+        _GENERATORS[family](0.5, bad, 8)
 
 
 def test_nc0_weights_examples():
@@ -193,7 +210,7 @@ def test_starting_weight_row_single_equation():
     # s = 0: mu_n0 = Gamma(1)/Gamma(1+alpha) n^alpha - sum w_k, dt-scaled
     alpha, dt, n = 0.5, 0.25, 12
     w = gl_weights(alpha, dt, 32)
-    row = starting_weight_row(w, 0, n)
+    row = starting_weight_table(w, 0)[n]
     omega = w.values / dt**alpha
     want = (n**alpha / gamma(1.0 + alpha) - np.sum(omega[: n + 1]))
     assert row[0] == pytest.approx(want * dt**alpha, rel=1e-12)
@@ -203,13 +220,13 @@ def test_starting_weight_rectangle_defect():
     # alpha = 1, s = 0: the rectangle rule overshoots constants by one
     # panel, so the correction is exactly -dt at every node
     w = gl_weights(1.0, 0.5, 16)
-    row = starting_weight_row(w, 0, 4)
+    row = starting_weight_table(w, 0)[4]
     assert row[0] == pytest.approx(-0.5, rel=1e-13)
 
 
 def test_starting_weight_table_reduced_head():
     w = gl_weights(0.5, 0.1, 16)
-    table = starting_weight_table(w, 1).table
+    table = starting_weight_table(w, 1)
     assert table.shape == (16, 2)
     # node 0 gets the degree-0 correction only
     assert table[0, 1] == 0.0
@@ -219,11 +236,9 @@ def test_starting_weight_table_reduced_head():
 def test_starting_weight_domains():
     w = gl_weights(0.5, 0.1, 16)
     with pytest.raises(DomainError):
-        starting_weight_row(w, 4, 8)
+        starting_weight_table(w, 4)
     with pytest.raises(DomainError):
-        starting_weight_row(w, 2, 1)
-    with pytest.raises(DomainError):
-        starting_weight_row(nc0_weights(0.5, 0.1, 16), 1, 8)
+        starting_weight_table(nc0_weights(0.5, 0.1, 16), 1)
 
 
 def test_truncated_view():
