@@ -66,6 +66,20 @@ def _emit(header: Sequence[str], *columns) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _emit_against(t, approx, exact) -> None:
+    """``t,approx`` rows, with ``exact`` and its error columns when given;
+    ``rel_err`` is NaN where ``exact`` is 0 or not finite."""
+    if exact is None:
+        _emit(("t", "approx"), t, approx)
+        return
+    abs_err = np.abs(approx - exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_err = np.where(np.isfinite(exact) & (exact != 0.0),
+                           abs_err / np.abs(exact), np.nan)
+    _emit(("t", "approx", "exact", "abs_err", "rel_err"),
+          t, approx, exact, abs_err, rel_err)
+
+
 class _UsageError(Exception):
     pass
 
@@ -165,7 +179,7 @@ def _apply_rule(signal, rule, alpha, method, memory, starting):
     if rule == "trap":
         return frac_trapezoid(signal, alpha, method=method)
     if rule == "nc3":
-        return frac_newton_cotes(signal, alpha, 3)
+        return frac_newton_cotes(signal, alpha, 3, method=method)
     raise _UsageError(f"unknown scheme {rule!r}")
 
 
@@ -190,16 +204,8 @@ def _cmd_integrate(args) -> None:
     out = _apply_rule(signal, args.scheme, alpha, args.method,
                       args.memory, args.starting_weights)
     t = signal.grid.nodes
-    exact = _exact_integral_column(
-        kind, args, alpha, t, f_callable, args.oracle)
-    if exact is None:
-        _emit(("t", "approx"), t, out.values)
-        return
-    abs_err = np.abs(out.values - exact)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_err = np.where(exact != 0.0, abs_err / np.abs(exact), np.nan)
-    _emit(("t", "approx", "exact", "abs_err", "rel_err"),
-          t, out.values, exact, abs_err, rel_err)
+    _emit_against(t, out.values, _exact_integral_column(
+        kind, args, alpha, t, f_callable, args.oracle))
 
 
 def _cmd_differentiate(args) -> None:
@@ -213,17 +219,8 @@ def _cmd_differentiate(args) -> None:
                                          scheme=Scheme(args.scheme),
                                          method=args.method)
     t = signal.grid.nodes
-    exact = _exact_derivative_column(kind, args, alpha, t)
-    if exact is None:
-        _emit(("t", "approx"), t, out.values)
-        return
-    abs_err = np.abs(out.values - exact)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel_err = np.where(
-            np.isfinite(exact) & (exact != 0.0),
-            abs_err / np.abs(exact), np.nan)
-    _emit(("t", "approx", "exact", "abs_err", "rel_err"),
-          t, out.values, exact, abs_err, rel_err)
+    _emit_against(t, out.values, _exact_derivative_column(kind, args, alpha,
+                                                          t))
 
 
 def _exact_derivative_column(kind, args, alpha, t):

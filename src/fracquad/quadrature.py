@@ -1,31 +1,23 @@
 """Left-sided fractional integrals of sampled signals.
 
-The evaluators here are discrete causal convolutions between weight
-sequences and signal samples on a uniform grid anchored at t = 0, all
-taken by one evaluator, ``_evaluate``:
+Every rule here is data, weight sequences plus an index convention, and
+one evaluator, ``_evaluate``, takes them all:
 ``out[n] = sum_{j=0..n} w_j f_(n-j) + sum_k head[n, k] f_k``, the head
-being the optional starting corrections on the first nodes.  The index
-conventions are kept exactly as the underlying rules define them:
-
-* convolution-quadrature rules (GL, FLMM) reference the sample at the
-  output node itself;
-* panel rules (NC0, and the fractional trapezoid, which is NC0 applied to
-  the panel averages) sum over the ``n`` panels left of the output node:
-  ``out[n] = sum_{k=0..n-1} f_k w_(n-1-k)`` with ``out[0] = 0``, which the
-  evaluator takes as a one-sample shift of the input;
-* the 2- and 3-point Newton-Cotes rules add starting columns on the first
-  ``p`` nodes to a node-distance sequence:
-  ``out[n] = sum_{j=0..n} v_j f_(n-j) + sum_{k<p} s_k(n) f_k``, ``out[0] = 0``.
+holding columns on the first nodes: starting corrections, or the
+Newton-Cotes starting columns, whose row 0 cancels ``w_0 f_0`` so that
+``out[0] = 0``.  Panel rules (NC0, and the fractional trapezoid, NC0 on
+the panel averages) sum the ``n`` panels left of node n, which the
+evaluator takes as a one-sample shift of the input.
 
 The ``direct`` path (the default) sums only the causal triangle, as
-products of signal blocks with Toeplitz blocks of the weight matrix
-(one ``np.convolve`` call for short signals); each node is a plain binary64
-sum of its own terms, bitwise causal and within ``N * eps * (|f| * |w|)_n``,
-the same convolution taken of absolute values.  The ``fft`` path makes no
-Fourier transform: it is a sum-of-exponentials engine, O(N (L + M)), that
-takes samples two or more blocks back through M ~ 100 same-signed modes of
-the weights' integral form, bitwise causal and within the same bound (GL,
-NC0 and FLMM_TRAP weights, 0 < |alpha| < 1; otherwise ``direct``).
+products of signal blocks with Toeplitz blocks of the weights (one
+``np.convolve`` call for short signals): bitwise causal, each node within
+``N * eps * (|f| * |w|)_n``.  The ``fft`` path makes no Fourier transform:
+a sum-of-exponentials engine, O(N (L + M)), takes samples two or more
+blocks back through M ~ 100 one-signed modes per term of the weights'
+integral form, bitwise causal and within the same bound.  Every rule has
+that form for non-integer orders below 1 (GL down to -64; FLMM_TRAP above
+-1); other orders, and signals below ``_MODES_CUTOFF``, run ``direct``.
 """
 
 from __future__ import annotations
@@ -47,6 +39,8 @@ from .weights import (
     WeightSequence,
     _causal_conv_direct,
     _causal_conv_modes,
+    _far_field,
+    _validate_common,
     nc0_weights,
     starting_weight_table,
 )
@@ -77,9 +71,6 @@ class UniformGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
-
-    def node(self, i: int) -> float:
-        return i * self.dt
 
     @property
     def t_end(self) -> float:
@@ -129,21 +120,21 @@ def _check_compatibility(signal: SampledSignal,
         )
 
 
-def _evaluate(f: np.ndarray, weights: WeightSequence, method: str,
-              head: np.ndarray | None = None) -> np.ndarray:
-    """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k``.
+def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: tuple,
+              method: str, head: np.ndarray | None = None,
+              shift: bool = False) -> np.ndarray:
+    """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k`` for the weights
+    ``w`` and their integral form ``far_field`` (used by ``fft``).
 
-    Panel rules take their convention here, once: the input moves one
-    sample later (``f_(-1) = 0``), so ``out[n]`` sums panels 0..n-1 and
-    ``out[0] = 0``.
+    ``shift`` is the panel rules' convention, taken here once: the input
+    moves one sample later (``f_(-1) = 0``), so ``out[n]`` sums panels
+    0..n-1 and ``out[0] = 0``.
     """
-    g = f
-    if weights.scheme.panel_based:
-        g = np.concatenate(([0.0], f[:-1]))
+    g = np.concatenate(([0.0], f[:-1])) if shift else f
     if method == "direct":
-        out = _causal_conv_direct(g, weights.values)
+        out = _causal_conv_direct(g, weights)
     elif method == "fft":
-        out = _causal_conv_modes(g, weights)
+        out = _causal_conv_modes(g, weights, far_field)
     else:
         raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
     if head is not None:
@@ -171,7 +162,8 @@ def frac_integral(
         ``N * eps * (|f| * |w|)_n`` at node n.  ``fft`` is the
         sum-of-exponentials engine: O(N (L + M)), bitwise causal, within
         a quarter of that bound as measured, and the same as ``direct``
-        for weights without an integral form or short signals.
+        for weights without an integral form (integer orders, orders of 1
+        and above) or signals shorter than ``_MODES_CUTOFF``.
     starting_degree : int, optional
         When given, add the polynomial-exactness corrections of this degree
         (weights attached to the first ``starting_degree + 1`` nodes).
@@ -184,8 +176,9 @@ def frac_integral(
             raise DomainError(f"signal too short for degree-"
                               f"{starting_degree} starting corrections")
         head = starting_weight_table(weights, starting_degree)[: signal.grid.n]
-    return signal.replace_values(_evaluate(signal.values, weights, method,
-                                           head))
+    return signal.replace_values(_evaluate(
+        signal.values, weights.values, weights.far_field, method, head,
+        weights.scheme.panel_based))
 
 
 def frac_trapezoid(signal: SampledSignal, alpha: float,
@@ -196,19 +189,18 @@ def frac_trapezoid(signal: SampledSignal, alpha: float,
     (one panel fewer than nodes, padded with a 0 that no node reaches);
     reduces to the classical composite trapezoid rule at ``alpha = 1``.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"trapezoid rule requires alpha > 0, got {alpha!r}")
     n = signal.grid.n
     if n < 2:
         raise DomainError("trapezoid rule needs at least 2 samples")
     f = signal.values
     averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
     c = nc0_weights(alpha, signal.grid.dt, n)
-    return signal.replace_values(_evaluate(averages, c, method))
+    return signal.replace_values(_evaluate(averages, c.values, c.far_field,
+                                           method, shift=True))
 
 
-def frac_newton_cotes(signal: SampledSignal, alpha: float,
-                      p: int) -> SampledSignal:
+def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
+                      method: str = "direct") -> SampledSignal:
     """Fractional Newton-Cotes rule of ``p`` points per panel, p in {2, 3}.
 
     Each panel replaces the integrand with its Lagrange polynomial through
@@ -220,24 +212,39 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
 
     The node weights depend on the output node only through the distance
     ``j = n - k`` to node ``k``, except on nodes 0..p-1, so the rule is one
-    Toeplitz sequence ``v_j`` through the direct causal convolution plus
-    starting columns on those nodes.  Every weight combines the kernel
-    moments of one panel taken around its own centre
-    (:func:`_panel_moments`), so the weights keep full relative accuracy at
-    any distance, and polynomials of degree ``p - 1`` come out exact to
-    within ``N * eps * I^alpha[|f|](t_n)``.
+    Toeplitz sequence ``v_j`` plus starting columns on those nodes
+    (:func:`_newton_cotes_rule`).  Every weight combines the kernel moments
+    of one panel taken around its own centre (:func:`_panel_moments`), so
+    the weights keep full relative accuracy at any distance, and
+    polynomials of degree ``p - 1`` come out exact to within
+    ``N * eps * I^alpha[|f|](t_n)``.  ``method`` is that of
+    :func:`frac_integral`, the engine's bound doubled for p = 3.
     """
     if p not in (2, 3):
         raise DomainError(f"panel order must be 2 or 3, got {p}")
-    if not alpha > 0.0:
-        raise DomainError(f"Newton-Cotes rule requires alpha > 0, got {alpha!r}")
     n = signal.grid.n
+    _validate_common(alpha, signal.grid.dt, n, "Newton-Cotes rule")
     if n < p:
         raise AlignmentError(f"{n} samples cannot hold a {p}-point panel")
     if (n - 1) % (p - 1) != 0:
         raise AlignmentError(
             f"{n - 1} steps do not tile into panels of {p - 1} steps"
         )
+    v, far_field, head = _newton_cotes_rule(alpha, signal.grid.dt, n, p)
+    return signal.replace_values(_evaluate(signal.values, v, far_field,
+                                           method, head))
+
+
+def _newton_cotes_rule(alpha: float, dt: float, n: int,
+                       p: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Toeplitz weights ``v`` with their far field, and the starting columns
+    of :func:`frac_newton_cotes`, scaled by ``dt^alpha / Gamma(alpha)``.
+
+    For j > 0, ``v_j = sin(pi alpha) / pi dt^alpha int u^-alpha (g_A(u) +
+    (-1)^j g_B(u)) e^(-uj) du``, g being the node basis functions of a
+    panel against ``e^(-uy)``: for p = 2 the hat, g_B = 0; for p = 3
+    :func:`_panel_g`, and ``|A_j| + |B_j| <= 2 |v_j|``.
+    """
     m0, m1, m2 = moments = _panel_moments(alpha, n)
     if p == 2:
         # panel i spans distances i..i+1, centre 2i+1 in half-step units,
@@ -249,6 +256,8 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
         v[1:] += far[:-1]
         # node 0 closes the last panel and has no panel beyond it
         columns = -near[np.newaxis, :]
+        # the hat on [-1, 1]: int (1 - |y|) e^(-uy) dy
+        terms = ((lambda u, a: (2.0 * np.sinh(0.5 * u) / u)**2, False),)
     else:
         # panel i spans distances 2i..2i+2 (centre 2i+1)
         near = 0.5 * (m2 - m1)
@@ -259,7 +268,7 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
         v[2::2] += far[: (n - 1) // 2]
         v[1::2] = mid[: n // 2]
         columns = np.zeros((3, n))
-        columns[0, 2::2] = -near[1: (n + 1) // 2]
+        columns[0, 0::2] = -near[: (n + 1) // 2]
         # odd nodes: the two-step panels end on node 1 and the Toeplitz
         # weight reaching node 0 is replaced by the one-step leading panel
         # on distances m-1..m: centre 2m-1 in half-step units, where nodes
@@ -273,16 +282,34 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float,
         ])
         odd[0] -= mid[: n // 2]
         odd[1] -= near[: n // 2]
-    f = signal.values
-    out = _causal_conv_direct(f, v) + f[: len(columns)] @ columns
-    out *= signal.grid.dt**alpha / gamma(alpha)
-    out[0] = 0.0
-    return signal.replace_values(out)
+        terms = ((lambda u, a: _panel_g(u, 1.0), False),
+                 (lambda u, a: _panel_g(u, -1.0), True))
+    scale = dt**alpha / gamma(alpha)
+    v *= scale
+    return v, _far_field(alpha, dt**alpha, v, *terms), columns.T * scale
 
 
-#: Powers of ``y = C^-2`` kept per range of centres: 20 for C < 33 (at C = 3
-#: the tail shrinks like 3^-40), 7 from C = 33 on (y^7 <= 1089^-7 < 1e-21).
-_MOMENT_TERMS = ((slice(0, 16), 20), (slice(16, None), 7))
+def _panel_g(u: np.ndarray, sign: float) -> np.ndarray:
+    """``g_A > 0`` (sign 1) or ``g_B < 0`` (sign -1) of the 3-point rule,
+    ``(g_end + sign g_mid) / 2`` for the end and mid node basis functions
+    against ``e^(-uy)``: the one-signed series of their moments in u^2 (the
+    closed forms cancel as u -> 0), at rounding after ten terms for
+    u <= 40 / (L + 1), the modes' range."""
+    k = np.arange(10.0)
+    coeffs = 2.0 * (4.0**k * (1.0 - 2.0 * k) / (2.0 * k + 2.0) + sign) / (
+        (2.0 * k + 1.0) * (2.0 * k + 3.0))
+    coeffs[1:] /= np.cumprod(2.0 * k[1:] * (2.0 * k[1:] - 1.0))  # (2k)!
+    y, out = u * u, coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * y + c
+    return out
+
+
+#: Powers y^0 .. y^19 of ``y = C^-2`` for the 16 centres C < 33 (at C = 3
+#: the tail shrinks like 3^-40), built once; from C = 33 on 7 powers are kept
+#: (y^7 <= 1089^-7 < 1e-21).
+_NEAR_POWERS = np.cumprod(
+    [np.ones(16)] + [(1.0 / np.arange(1.0, 33.0, 2.0))**2] * 19, axis=0)
 
 
 def _panel_moments(alpha: float, n: int) -> np.ndarray:
@@ -292,25 +319,25 @@ def _panel_moments(alpha: float, n: int) -> np.ndarray:
     ``C = 1, 3, ..., 2n - 1``.  C = 1, the panel touching the kernel
     singularity, uses the closed form.  Every other centre sums the series
     ``C^(alpha-1) sum_k C(alpha-1, k) C^-k int s^(q+k) ds``, whose leading
-    term dominates: all rows as a (3 x powers) coefficient matrix times one
-    power table of ``C^-2`` per range of ``_MOMENT_TERMS``.  The closed form
-    in powers of ``C +- 1`` cancels: it loses a factor of up to ``C^2``,
-    already ~1e-13 relative at C = 3.
+    term dominates: all rows as a (3 x powers) coefficient matrix times a
+    power table of ``C^-2`` (:data:`_NEAR_POWERS`, then 7 powers).  The
+    closed form in powers of ``C +- 1`` cancels: it loses a factor of up to
+    ``C^2``, already ~1e-13 relative at C = 3.
     """
     centres = np.arange(1.0, 2.0 * n, 2.0)
-    k = np.arange(1.0, 2 * _MOMENT_TERMS[0][1])
+    k = np.arange(1.0, 2 * len(_NEAR_POWERS))
     binom = np.concatenate(([1.0], np.cumprod((alpha - k) / k)))
     odd = k[::2]  # y^i in row q: 2 C(alpha-1, k) / (q+k+1), k = 2i + q%2
     coeffs = 2.0 * np.stack([binom[0::2] / odd, binom[1::2] / (odd + 2.0),
                              binom[0::2] / (odd + 2.0)])
     x = 1.0 / centres
-    y = x * x
+    y = x[16:] * x[16:]
+    powers = np.ones((7, len(y)))
+    for i in range(1, 7):  # cumprod, without its slow axis-0 loop
+        np.multiply(powers[i - 1], y, out=powers[i])
     moments = np.empty((3, n))
-    for centre_range, terms in _MOMENT_TERMS:
-        powers = np.ones((terms, len(y[centre_range])))
-        for i in range(1, terms):  # cumprod, without its slow axis-0 loop
-            np.multiply(powers[i - 1], y[centre_range], out=powers[i])
-        moments[:, centre_range] = coeffs[:, :terms] @ powers
+    moments[:, :16] = coeffs @ _NEAR_POWERS[:, :n]
+    moments[:, 16:] = coeffs[:, :7] @ powers
     moments[1] *= x
     moments *= centres**(alpha - 1.0)
     # C = 1: int_0^2 (u - 1)^q u^(alpha-1) du, reduced to one fraction
@@ -342,5 +369,7 @@ def short_memory_integral(
             f"memory length must be in [1, {n}], got {memory_length}"
         )
     _check_compatibility(signal, weights)
-    out = _evaluate(signal.values, weights.truncated(memory_length), method)
+    w = weights.truncated(memory_length)  # carries no far field
+    out = _evaluate(signal.values, w.values, w.far_field, method,
+                    shift=w.scheme.panel_based)
     return signal.replace_values(out)

@@ -17,28 +17,23 @@ produced:
     ``dt^alpha / Gamma(alpha+1) * ((k+1)^alpha - k^alpha)``.
 ``Scheme.FLMM_TRAP``
     Fractional trapezoidal linear multistep weights, the series coefficients
-    of ``((1 + z) / (2 (1 - z)))^alpha``: ``(dt/2)^alpha`` times the causal
-    product of the cumprod series ``a_j = C(alpha, j)`` and ``b_j`` of
-    ``(1 - z)^(-alpha)``, in binary64 (through the sum-of-exponentials
-    engine from ``_MODES_CUTOFF`` weights); weight ``k`` is within
-    ``(k+1) eps (dt/2)^alpha sum_j |a_j b_(k-j)|``.
+    of ``((1 + z) / (2 (1 - z)))^alpha`` (:func:`weights_for_scheme`).
 
 The generic :func:`flmm_weights` raises an arbitrary implicit multistep
 method ``(rho, sigma)`` to a real power via series division followed by the
 J.C.P. Miller recurrence, an independent check on the closed forms.
 Starting-weight corrections that restore polynomial exactness near the
-origin are the read-only (N, s+1) array of :func:`starting_weight_table`:
-the defects of the bare rule on ``t^0 .. t^s`` are nested prefix sums of
-the weights, O((s+1)^2 N) with no convolution, each sum within
-``(q+1) (n+1) eps`` times the same sum of absolute terms, and every node's
-(s+1) x (s+1) Vandermonde system is solved on its own.
+origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
+Weights of non-integer orders carry their integral form for the ``fft``
+engine (``WeightSequence.far_field``): GL in (-64, 1), NC0 in (0, 1) and
+FLMM_TRAP in (-1, 1).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +43,7 @@ from .exceptions import (
     DomainError,
     SingularSystemError,
 )
-from .special import gamma
+from .special import GAMMA_OVERFLOW_LIMIT, gamma
 
 __all__ = [
     "Scheme",
@@ -89,13 +84,13 @@ _EULER_SIGMA: tuple[float, ...] = (0.0, 1.0)
 @dataclass(frozen=True)
 class _FarField:
     """An ``fft`` engine pass: exact weights ``near`` of lags below 2 _BLOCK,
-    far lags ``(+-1)^k scale int u^-order g(u) e^(-u k) du`` with g > 0."""
+    far lags ``scale sum (+-1)^k int u^-order g(u) e^(-u k) du`` over the
+    ``(g, alternating)`` terms, each g one-signed."""
 
     near: np.ndarray
     order: float
     scale: float
-    g: Callable[..., np.ndarray]
-    alternating: bool = False
+    terms: tuple[tuple[Callable[..., np.ndarray], bool], ...]
 
 
 @dataclass(frozen=True)
@@ -173,30 +168,34 @@ def _causal_conv_direct(f: np.ndarray, c: np.ndarray,
 _MODES_CUTOFF = 3000
 
 
-def _causal_conv_modes(f: np.ndarray, weights: WeightSequence) -> np.ndarray:
+def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
+                       far_field: tuple) -> np.ndarray:
     """:func:`_causal_conv_direct` in O(N (L + M)): per pass of the far
     field, block lags 0 and 1 exact and older rows through M same-signed
-    modes, so bitwise causal and within ``N * eps * (|f| * |w|)_n``."""
-    passes = weights.far_field
-    if not passes or len(f) < _MODES_CUTOFF * len(passes):
-        return _causal_conv_direct(f, weights.values)
-    for far in passes:
+    modes per term, so bitwise causal and within
+    ``N * eps * (|f| * |w|)_n`` per term."""
+    if not far_field or len(f) < _MODES_CUTOFF * len(far_field):
+        return _causal_conv_direct(f, values)
+    for far in far_field:
         f = _causal_conv_direct(f, far.near, block_lags=2) + _far_lags(f, far)
     return f
 
 
 def _far_lags(f: np.ndarray, far: _FarField) -> np.ndarray:
     """Rows two or more back: ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
-    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b."""
+    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b, the
+    modes of every term side by side."""
     u, c = _modes(far, len(f))
+    alternating = np.repeat([alt for _, alt in far.terms], len(u))
+    u, c = np.tile(u, len(c)), c.ravel()
     rows = -(-len(f) // _BLOCK)
     f_rows = np.zeros((rows, _BLOCK))
     f_rows.ravel()[: len(f)] = f
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
     into, out_of = decay[:0:-1].copy(), c * decay[:-1]
-    if far.alternating:  # (-1)^(L - s + r), L even
-        into[1::2] *= -1.0
-        out_of[1::2] *= -1.0
+    if alternating.any():  # (-1)^(L - s + r) on those modes, L even
+        into[1::2, alternating] *= -1.0
+        out_of[1::2, alternating] *= -1.0
     state = np.zeros((rows, len(u)))
     state[2:] = (f_rows[:-2] @ into) * decay[-1]
     for j in range((rows - 1).bit_length()):
@@ -205,40 +204,52 @@ def _far_lags(f: np.ndarray, far: _FarField) -> np.ndarray:
 
 
 def _modes(far: _FarField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``u_m``, same-signed ``c_m``: ``w_k ~ sum c_m e^(-u_m k)`` for lags
-    L+1..n by Gauss-Jacobi (weight ``u^-order``) on [0, 1/n] and Legendre
-    panels of width <= 2 in log u up to 40/(L+1), past which e^-uk < e^-40."""
+    """``u_m`` and a row of same-signed ``c_m`` per term: ``w_k ~ sum c_m
+    e^(-u_m k)`` for lags L+1..n by Gauss-Jacobi (weight ``u^b``,
+    b = -order) on [0, 1/n] and Legendre panels in log u up to X/(L+1),
+    past which ``u^b e^(-uk)`` keeps less than e^-40 of its integral:
+    X = 40 and panels of width <= 2 for b <= 1; above, X = 40 + 4 (b - 1)
+    and width <= 2 / sqrt(b), the width of the integrand's peak."""
     b = -far.order
     x, wx = _gauss_jacobi(b)
     leg_x, leg_w = _gauss_jacobi(0.0)
-    lo, hi = -np.log(n), np.log(40.0 / (_BLOCK + 1))
-    panels = int(np.ceil((hi - lo) / 2.0))
+    top = 40.0 + 4.0 * max(b - 1.0, 0.0)
+    lo, hi = -np.log(n), np.log(top / (_BLOCK + 1))
+    panels = int(np.ceil((hi - lo) / 2.0 * max(b, 1.0)**0.5))
     width = (hi - lo) / panels
     v = (lo + width * (np.arange(panels)[:, None] + leg_x)).ravel()
     u = np.concatenate((x / n, np.exp(v)))
     c = np.concatenate((wx * n**-(1.0 + b) / (1.0 + b),
                         np.tile(width * leg_w, panels) * np.exp((1.0 + b) * v)))
-    return u, far.scale * c * far.g(u, far.order)
+    return u, np.array([far.scale * c * g(u, far.order) for g, _ in far.terms])
 
 
 def _gauss_jacobi(b: float) -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss rule (Golub-Welsch) for the weight x^b on [0, 1]."""
     k = np.arange(1.0, 16.0)
     s = 2.0 * k + b
-    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    # s - 1 = 2k - 1 + b, except where 2 + b rounds to 1 (b = -1 + 2^-53)
+    s_1 = np.where(s > 1.0, s - 1.0, 1.0 + b)
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * s_1))
     jacobi = np.diag(np.r_[b / (b + 2.0), b * b / (s * (s + 2.0))])
     nodes, vectors = np.linalg.eigh(jacobi + np.diag(off, -1))
     return 0.5 * (nodes + 1.0), vectors[0] ** 2
 
 
 def _far_field(order: float, scale: float, near: np.ndarray,
-               g: Callable[..., np.ndarray]) -> tuple[_FarField, ...]:
-    """The pass ``scale sin(pi order) / pi int u^-order g e^(-u k) du`` over
-    ``near`` (sin reflected for |order| near 1); none unless |order| < 1."""
-    if not 0.0 < abs(order) < 1.0:
+               *terms: tuple[Callable[..., np.ndarray], bool]
+               ) -> tuple[_FarField, ...]:
+    """The pass ``scale sin(pi order) / pi sum int u^-order g e^(-u k) du``
+    over ``near`` for every non-integer order in (-L/2, 1), none otherwise:
+    from lag L+1 on the integrands decay at least like ``e^(-u L/2)``.
+    The sin is reduced mod 2 and reflected for orders near an integer."""
+    if not (-_BLOCK / 2 < order < 1.0 and order != round(order)):
         return ()
-    sin = np.sin(np.pi * min(abs(order), 1.0 - abs(order))) * np.sign(order)
-    return (_FarField(near[: 2 * _BLOCK], order, scale * sin / np.pi, g),)
+    x = abs(order) % 2.0  # exact, as is every reduction below
+    sign = np.sign(order) if x < 1.0 else -np.sign(order)
+    x %= 1.0
+    sin = sign * np.sin(np.pi * min(x, 1.0 - x))
+    return (_FarField(near[: 2 * _BLOCK], order, scale * sin / np.pi, terms),)
 
 
 def _gl_g(u: np.ndarray, order: float) -> np.ndarray:
@@ -246,7 +257,12 @@ def _gl_g(u: np.ndarray, order: float) -> np.ndarray:
     return np.exp(-u * order) * (u / -np.expm1(-u))**order
 
 
-def _validate_common(alpha: float, dt: float, n: int) -> None:
+def _validate_common(alpha: float, dt: float, n: int,
+                     panel_rule: str | None = None) -> None:
+    """Typed errors before any numpy work.  A panel rule of ``n`` nodes
+    forms ``Gamma(alpha + 1)``, ``1 / alpha`` and powers up to
+    ``(2 n max(dt, 1))^alpha``, all kept below e^700 (e^9 short of the
+    binary64 limit)."""
     if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
     if not 0.0 < dt < math.inf:
@@ -254,6 +270,10 @@ def _validate_common(alpha: float, dt: float, n: int) -> None:
                           f"got {dt!r}")
     if n < 1:
         raise DomainError(f"weight count must be >= 1, got {n}")
+    if panel_rule and not (0.0 < alpha <= GAMMA_OVERFLOW_LIMIT - 1.0 and max(
+            -math.log(alpha), alpha * math.log(2.0 * n * max(dt, 1.0))) < 700):
+        raise DomainError(f"{panel_rule} needs alpha > 0 and finite weights "
+                          f"on {n} nodes, got alpha={alpha!r}")
 
 
 def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
@@ -270,8 +290,8 @@ def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
         raise DomainError("order 0 has no weight rule; it is the identity")
     k = np.arange(1.0, n)
     values = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k]) * dt**alpha
-    return WeightSequence(Scheme.GL, alpha, dt, values,
-                          _far_field(alpha, dt**alpha, values, _gl_g))
+    far = _far_field(alpha, dt**alpha, values, (_gl_g, False))
+    return WeightSequence(Scheme.GL, alpha, dt, values, far)
 
 
 def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
@@ -281,10 +301,8 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     The bracket is evaluated as ``k^alpha * expm1(alpha * log1p(1/k))`` so
     no digits are lost to cancellation at large ``k``.
     """
-    _validate_common(alpha, dt, n)
+    _validate_common(alpha, dt, n, "NC0 rule")
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"NC0 weights require alpha > 0, got {alpha!r}")
     values = np.empty(n)
     values[0] = 1.0
     if n > 1:
@@ -292,7 +310,8 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
         values[1:] = np.exp(alpha * np.log(k)) * np.expm1(alpha * np.log1p(1.0 / k))
     values *= dt**alpha / gamma(alpha + 1.0)
     # t^(alpha-1) = int u^(-alpha) e^(-u t) du / Gamma(1-alpha), over [k, k+1]
-    far = _far_field(alpha, dt**alpha, values, lambda u, a: -np.expm1(-u) / u)
+    box = (lambda u, a: -np.expm1(-u) / u, False)
+    far = _far_field(alpha, dt**alpha, values, box)
     return WeightSequence(Scheme.NC0, alpha, dt, values, far)
 
 
@@ -413,12 +432,13 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         alpha, k = b.alpha, np.arange(1.0, n)
         a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
         scale = (dt / 2.0)**alpha
-        values = _causal_conv_modes(a, b) * scale
-        # (1+z)^alpha: GL(-alpha) modes at -z; then GL(alpha) at dt/2
-        far = tuple(replace(p, alternating=True)
-                    for p in _far_field(-alpha, 1.0, a, _gl_g))
-        far += _far_field(alpha, scale, b.values[: 2 * _BLOCK] * scale, _gl_g)
-        return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values, far)
+        values = _causal_conv_modes(a, b.values, b.far_field) * scale
+        # (1+z)^alpha: GL(-alpha) modes at -z; then GL(alpha) at dt/2; the
+        # rule has a far field only when both passes do
+        far = _far_field(-alpha, 1.0, a, (_gl_g, True)) + _far_field(
+            alpha, scale, b.values[: 2 * _BLOCK] * scale, (_gl_g, False))
+        return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values,
+                              far if len(far) == 2 else ())
     raise DomainError(f"unknown scheme {scheme!r}")
 
 

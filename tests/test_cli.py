@@ -10,6 +10,7 @@ import pytest
 
 import fracquad
 from fracquad.cli import main
+from fracquad.quadrature import SampledSignal, UniformGrid, frac_newton_cotes
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +292,37 @@ def test_runtime_errors_exit_one(capsys):
                            "--scheme", "nc3")
     assert code == 1
     assert "tile" in err
+
+
+@pytest.mark.parametrize("scheme, alpha", [("nc3", "inf"), ("trap", "1e308")])
+def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
+    # one typed error line on stderr, no numpy RuntimeWarning before it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(fracquad.__file__).resolve().parents[1])
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    run = subprocess.run(
+        [sys.executable, "-m", "fracquad.cli", "integrate", "--f", "exp",
+         "--alpha", alpha, "--t-end", "1", "--n", "65", "--scheme", scheme],
+        env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert len(run.stderr.splitlines()) == 1
+    assert "Warning" not in run.stderr
+
+
+def test_integrate_nc3_fft_runs_the_engine(capsys):
+    # --method reaches the 3-point rule: the CSV's approx column is the
+    # engine's output bit for bit, not the direct path's
+    code, out, _ = run_cli(capsys, "integrate", "--f", "exp", "--alpha",
+                           "0.5", "--t-end", "10", "--n", "5001", "--scheme",
+                           "nc3", "--method", "fft")
+    assert code == 0
+    approx = [row.split(",")[1] for row in out.splitlines()[1:]]
+    grid = UniformGrid(10.0 / 5000, 5001)
+    sig = SampledSignal.sample(np.exp, grid)
+    fft, direct = (frac_newton_cotes(sig, 0.5, 3, method=m).values
+                   for m in ("fft", "direct"))
+    assert approx == [repr(x) for x in fft.tolist()]
+    assert not np.array_equal(fft, direct)
 
 
 @pytest.mark.parametrize("alpha, dt", [("nan", "1"), ("inf", "1"),

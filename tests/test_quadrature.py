@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from fracquad.oracle import (
 from fracquad.quadrature import (
     SampledSignal,
     UniformGrid,
+    _newton_cotes_rule,
     _panel_moments,
     frac_integral,
     frac_newton_cotes,
@@ -57,8 +60,6 @@ def make_signal(fn, t_end, n):
 
 def test_grid_basics():
     grid = UniformGrid(0.25, 5)
-    assert grid.node(0) == 0.0
-    assert grid.node(4) == 1.0
     assert grid.t_end == 1.0
     assert np.array_equal(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(DomainError):
@@ -226,14 +227,18 @@ def test_newton_cotes_polynomial_exactness():
 @pytest.mark.parametrize("p, coeffs", [(2, (1.25, 0.75)),
                                        (3, (1.25, -0.5, 0.75))])
 @pytest.mark.parametrize("n", [65, 1025, 4097])
-@pytest.mark.parametrize("alpha", [0.3, 0.81, 1.0, 1.7])
-def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha):
+@pytest.mark.parametrize("alpha, method", [
+    pytest.param(alpha, method, id=str(alpha) + suffix)
+    for method, suffix in (("direct", ""), ("fft", "-fft"))
+    for alpha in (0.3, 0.81, 1.0, 1.7)])
+def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha, method):
     # degree p-1 polynomials are integrated exactly, so every node must be
     # within N eps I^alpha[|f|](t_n); f > 0 here, so that is the exact value
+    # (fft runs the engine at 4097 nodes for alpha < 1)
     grid = UniformGrid(3.1 / (n - 1), n)
     sig = SampledSignal(grid, np.polynomial.polynomial.polyval(
         grid.nodes, coeffs))
-    out = frac_newton_cotes(sig, alpha, p).values
+    out = frac_newton_cotes(sig, alpha, p, method=method).values
     eps = np.finfo(float).eps
     assert out[0] == 0.0
     with mpmath.workdps(30):
@@ -279,15 +284,18 @@ def _two_product(a, b):
     return prod, err
 
 
-def _assert_exact_to_rounding(f, w, out, nodes, share=1.0):
-    # out[m] within share * len(f) eps (|f| * |w|)_m of the exactly rounded
-    # sum, w zero beyond its length
+def _assert_exact_to_rounding(f, w, out, nodes, share=1.0, head=None):
+    # out[m] within share * len(f) eps ((|f| * |w|)_m + |head[m]| . |f|) of
+    # the exactly rounded sum, w zero beyond its length
     eps = share * np.finfo(float).eps
     for m in nodes:
         c = np.zeros(m + 1)
         k = min(m + 1, len(w))
         c[:k] = w[:k]
         f_m, c_m = f[: m + 1], c[::-1]
+        if head is not None:
+            f_m = np.concatenate((f_m, f[: head.shape[1]]))
+            c_m = np.concatenate((c_m, head[m]))
         exact = math.fsum(np.concatenate(_two_product(f_m, c_m)))
         bound = len(f) * eps * float(np.dot(np.abs(f_m), np.abs(c_m)))
         assert abs(out[m] - exact) <= bound, m
@@ -413,6 +421,26 @@ def test_newton_cotes_beats_nc0_on_exp():
         assert abs(got - want) <= abs(nc0 - want)
     order = math.log(errs[-2] / errs[-1]) / math.log(2.0)
     assert order >= 1.8
+
+
+@pytest.mark.parametrize("rule, alpha", [
+    ("nc0", math.inf), ("nc0", 1e308), ("nc0", 100.0), ("trap", 1e308),
+    ("nc2", 5e-324), ("nc3", math.inf), ("nc3", math.nan), ("nc3", 100.0),
+])
+def test_panel_rules_reject_overflowing_orders(rule, alpha):
+    # a typed error and no RuntimeWarning on the way, whether the order is
+    # not finite or Gamma(alpha + 1), 1 / alpha or a power of the rule
+    # passes e^700 (100 log 8194 > 700)
+    sig = make_signal(np.exp, 3.1, 4097)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            if rule == "nc0":
+                nc0_weights(alpha, sig.grid.dt, sig.grid.n)
+            elif rule == "trap":
+                frac_trapezoid(sig, alpha)
+            else:
+                frac_newton_cotes(sig, alpha, int(rule[2]))
 
 
 def test_newton_cotes_alignment():
@@ -587,7 +615,20 @@ def _engine_nodes(n, rng):
     return sorted(m for m in edges | set(_block_edge_nodes(n, rng)) if m < n)
 
 
+class _NewtonCotes(NamedTuple):
+    """A Newton-Cotes rule as the evaluator sees it."""
+
+    alpha: float
+    p: int
+    values: np.ndarray
+    far_field: tuple
+    head: np.ndarray
+
+
 def _engine_case(family, alpha, dt, n):
+    if family in ("nc2", "nc3"):
+        p = int(family[2])
+        return _NewtonCotes(alpha, p, *_newton_cotes_rule(alpha, dt, n, p))
     if family == "gl":
         return gl_weights(alpha, dt, n)
     if family == "nc0":
@@ -598,6 +639,25 @@ def _engine_case(family, alpha, dt, n):
         signs = np.random.default_rng(n).standard_normal(n)
         return WeightSequence(Scheme.GL, alpha, dt, signs)
     return weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
+
+
+def _run(case, sig, method):
+    """Output of an ``_engine_case`` through its public entry point."""
+    if isinstance(case, _NewtonCotes):
+        return frac_newton_cotes(sig, case.alpha, case.p, method=method).values
+    return frac_integral(sig, case, method=method).values
+
+
+def _mp_gl_weights(order, dt, n):
+    # GL weights by the ratio recurrence in 30 digits, then rounded: the
+    # binary64 cumprod drifts by about 0.1 k eps for orders below -1,
+    # while the engine's modes follow the true weights
+    with mpmath.workdps(30):
+        a, w, out = mpmath.mpf(order), mpmath.mpf(dt)**order, [0.0] * n
+        for k in range(n):
+            out[k] = float(w)
+            w *= (k + a) / (k + 1)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("rule", ["gl 0.5", "gl -0.9", "trapezoid 0.5",
@@ -625,30 +685,35 @@ def test_fft_exact_to_rounding_on_growing_exp(rule):
 
 @pytest.mark.parametrize("family, alpha, n", [
     ("gl", 0.01, 5003), ("gl", 0.99, 5003), ("gl", 1.0 - 1e-9, 5003),
-    ("gl", -0.5, 5003), ("gl", -0.99, 5003), ("nc0", 0.05, 5003),
-    ("nc0", 0.95, 5003), ("flmm", 0.1, 7001), ("flmm", -0.9, 7001),
-])
+    ("gl", 1.0 - 2**-53, 5003), ("gl", -0.5, 5003), ("gl", -0.99, 5003),
+    ("nc0", 0.05, 5003), ("nc0", 0.95, 5003), ("flmm", 0.1, 7001),
+    ("flmm", -0.9, 7001), ("gl", -7.5, 5003),
+] + [(family, alpha, n) for n in (5003, (1 << 14) + 1)
+     for family, alpha in [("nc2", 0.1), ("nc2", 0.5), ("nc2", 0.9),
+                           ("nc3", 0.1), ("nc3", 0.5), ("nc3", 0.9),
+                           ("gl", -1.1), ("gl", -1.5), ("gl", -2.5)]])
 def test_fft_engine_exact_to_rounding(family, alpha, n):
+    # NC3's two mode terms each keep their own share, |A| + |B| <= 2 |v|
     rng = np.random.default_rng(n)
     grid = UniformGrid(0.01, n)
-    weights = _engine_case(family, alpha, grid.dt, n)
+    case = _engine_case(family, alpha, grid.dt, n)
+    share = _ENGINE_SHARE * (2 if family == "nc3" else 1)
+    w = _mp_gl_weights(alpha, grid.dt, n) if alpha < -1 else case.values
     for values in (rng.standard_normal(n) * np.exp(grid.nodes / 10),
                    np.exp(-grid.nodes)):
         sig = SampledSignal(grid, values)
-        out = frac_integral(sig, weights, method="fft").values
-        direct = frac_integral(sig, weights).values
-        assert not np.array_equal(out, direct)  # the engine ran
-        if weights.scheme.panel_based:
+        out = _run(case, sig, "fft")
+        assert not np.array_equal(out, _run(case, sig, "direct"))  # it ran
+        f = values
+        if family == "nc0":
             f, out = values[:-1], out[1:]
-        else:
-            f = values
-        _assert_exact_to_rounding(f, weights.values, out,
-                                  _engine_nodes(len(f), rng),
-                                  share=_ENGINE_SHARE)
+        _assert_exact_to_rounding(f, w, out, _engine_nodes(len(f), rng),
+                                  share=share,
+                                  head=getattr(case, "head", None))
 
 
 @pytest.mark.parametrize("n", [_MODES_CUTOFF, 5003, 1 << 14])
-@pytest.mark.parametrize("alpha", [0.3, 0.8, -0.5])
+@pytest.mark.parametrize("alpha", [0.3, 0.8, -0.5, -1.5])
 def test_flmm_trap_weights_from_engine_exact_to_rounding(alpha, n):
     # from _MODES_CUTOFF on the FLMM_TRAP weights are the engine's product
     # of the binary64 (1+z)^alpha and (1-z)^(-alpha) series; at dt = 2 no
@@ -664,7 +729,8 @@ def test_flmm_trap_weights_from_engine_exact_to_rounding(alpha, n):
 
 @pytest.mark.parametrize("family, alpha, n", [
     ("gl", 0.5, 5000), ("gl", -0.9, 5000), ("nc0", 0.3, 5000),
-    ("flmm", -0.7, 7000),
+    ("flmm", -0.7, 7000), ("nc2", 0.5, 5000), ("nc3", 0.5, 5001),
+    ("gl", -1.5, 5000),
 ])
 def test_fft_engine_causality_bitwise(family, alpha, n):
     rng = np.random.default_rng(37)
@@ -672,11 +738,11 @@ def test_fft_engine_causality_bitwise(family, alpha, n):
     base = rng.standard_normal(n)
     altered = base.copy()
     altered[3001:] += rng.standard_normal(n - 3001)
-    w = _engine_case(family, alpha, grid.dt, n)
-    out = frac_integral(SampledSignal(grid, base), w, method="fft").values
-    alt = frac_integral(SampledSignal(grid, altered), w, method="fft").values
-    assert not np.array_equal(out, frac_integral(SampledSignal(grid, base),
-                                                 w).values)
+    case = _engine_case(family, alpha, grid.dt, n)
+    out = _run(case, SampledSignal(grid, base), "fft")
+    alt = _run(case, SampledSignal(grid, altered), "fft")
+    assert not np.array_equal(out, _run(case, SampledSignal(grid, base),
+                                        "direct"))
     assert np.array_equal(out[:3001], alt[:3001])
     assert not np.array_equal(out[3001:], alt[3001:])
 
@@ -695,19 +761,17 @@ def test_fft_gl_forward_mirrors_backward_bitwise():
 _ENGINE_POOL_PROBE = """
 import hashlib
 import numpy as np
-from fracquad import (SampledSignal, Scheme, UniformGrid, frac_integral,
-                      frac_trapezoid, gl_weights, weights_for_scheme)
-n = 1 << 14
+from fracquad import SampledSignal, UniformGrid, frac_trapezoid
+from test_quadrature import _engine_case, _run
+n = (1 << 14) + 1
 grid = UniformGrid(40.0 / (n - 1), n)
 sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
-for out in (
-    frac_integral(sig, gl_weights(0.5, grid.dt, n), method="fft"),
-    frac_integral(sig, gl_weights(-0.9, grid.dt, n), method="fft"),
-    frac_trapezoid(sig, 0.5, method="fft"),
-    frac_integral(sig, weights_for_scheme(Scheme.FLMM_TRAP, 0.5, grid.dt, n),
-                  method="fft"),
-):
-    print(hashlib.sha256(out.values.tobytes()).hexdigest())
+outs = [frac_trapezoid(sig, 0.5, method="fft").values]
+for family, alpha in [("gl", 0.5), ("gl", -0.9), ("flmm", 0.5), ("nc2", 0.5),
+                      ("nc3", 0.5), ("gl", -1.5)]:
+    outs.append(_run(_engine_case(family, alpha, grid.dt, n), sig, "fft"))
+for out in outs:
+    print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
@@ -717,12 +781,13 @@ def test_fft_engine_independent_of_blas_pool_size():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, str(Path(__file__).parent), env.get("PYTHONPATH", "")])
         run = subprocess.run([sys.executable, "-c", _ENGINE_POOL_PROBE],
                              env=env, capture_output=True, text=True,
                              check=True)
         digests.append(run.stdout)
-    assert len(digests[0].split()) == 4 and digests[0] == digests[1]
+    assert len(digests[0].split()) == 7 and digests[0] == digests[1]
 
 
 def test_fft_without_far_field_equals_direct_bitwise():
@@ -743,29 +808,37 @@ def test_fft_without_far_field_equals_direct_bitwise():
 
 
 def test_far_field_only_for_orders_below_one():
+    # FLMM_TRAP needs both passes: at -1.2 its (1+z)^-1.2 pass has none
     dt, n = 0.01, 300
-    for w in (gl_weights(1.0, dt, n), gl_weights(-1.5, dt, n),
-              nc0_weights(1.0, dt, n), nc0_weights(2.5, dt, n),
+    for w in (gl_weights(1.0, dt, n), gl_weights(-2.0, dt, n),
+              gl_weights(1.5, dt, n), gl_weights(-64.5, dt, n),
+              nc0_weights(1.0, dt, n),
+              nc0_weights(2.5, dt, n),
               weights_for_scheme(Scheme.FLMM_TRAP, 1.0, dt, n),
               weights_for_scheme(Scheme.FLMM_TRAP, -1.2, dt, n)):
         assert w.far_field == ()
-    assert len(gl_weights(0.7, dt, n).far_field) == 1
-    assert len(nc0_weights(0.7, dt, n).far_field) == 1
+    for w in (gl_weights(0.7, dt, n), gl_weights(-1.5, dt, n),
+              gl_weights(-63.5, dt, n), nc0_weights(0.7, dt, n)):
+        assert [far.terms[0][1] for far in w.far_field] == [False]
     flmm = weights_for_scheme(Scheme.FLMM_TRAP, 0.7, dt, n)
-    assert [p.alternating for p in flmm.far_field] == [True, False]
+    assert [far.terms[0][1] for far in flmm.far_field] == [True, False]
+    assert not _newton_cotes_rule(1.0, dt, 301, 3)[1]
+    nc3 = _newton_cotes_rule(0.7, dt, 301, 3)[1]
+    assert [alt for _, alt in nc3[0].terms] == [False, True]
 
 
 def _mode_rel_errors(far, n, exact):
+    # one error list per term of the pass, each against its own reference
     u, c = _modes(far, n)
-    assert np.all(c > 0) or np.all(c < 0)
     ks = sorted({_BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, n - 1, n}
                 | {int(k) for k in np.geomspace(_BLOCK + 1, n, 9)})
     errs = []
-    for k in ks:
-        sign = (-1.0)**k if far.alternating else 1.0
-        got = sign * math.fsum(c * np.exp(-u * k))
-        want = exact(k)
-        errs.append(float(abs((mpmath.mpf(got) - want) / want)))
+    for c_term, (_, alternating), want in zip(c, far.terms, exact):
+        assert np.all(c_term > 0) or np.all(c_term < 0)
+        for k in ks:
+            sign = (-1.0)**k if alternating else 1.0
+            got = sign * math.fsum(c_term * np.exp(-u * k))
+            errs.append(float(abs((mpmath.mpf(got) - want(k)) / want(k))))
     return errs
 
 
@@ -780,27 +853,47 @@ def _mp_gl(order, k):
 _MODE_SHARE = 0.01
 
 
+def _mp_newton_cotes_terms(p, a):
+    # per-term references of the Newton-Cotes Toeplitz weights at dt = 1:
+    # the node basis functions of distance k against (k + y)^(a-1) / Gamma(a)
+    def weight(basis, width):
+        return lambda k: mpmath.quad(
+            lambda y: basis(abs(y)) * (k + y)**(a - 1),
+            [-width, 0, width]) / mpmath.gamma(a)
+    if p == 2:
+        return [weight(lambda y: 1 - y, 1)]
+    end = weight(lambda y: (y - 1) * (y - 2) / 2, 2)
+    mid = weight(lambda y: 1 - y * y, 1)
+    return [lambda k: (end(k) + mid(k)) / 2,
+            lambda k: (-1)**k * (end(k) - mid(k)) / 2]
+
+
 @pytest.mark.parametrize("n", [5001, 1 << 16])
 @pytest.mark.parametrize("family, alpha", [
     ("gl", 0.01), ("gl", 0.5), ("gl", 0.99), ("gl", 1.0 - 1e-9),
     ("gl", -0.5), ("gl", -0.99), ("nc0", 0.05), ("nc0", 0.5),
-    ("nc0", 0.95), ("flmm", 0.5), ("flmm", -0.9),
+    ("nc0", 0.95), ("flmm", 0.5), ("flmm", -0.9), ("nc2", 0.1),
+    ("nc2", 0.5), ("nc2", 0.9), ("nc3", 0.1), ("nc3", 0.5), ("nc3", 0.9),
+    ("gl", -1.1), ("gl", -1.5), ("gl", -2.5), ("gl", -7.5),
 ])
 def test_modes_match_mpmath_weights(family, alpha, n):
+    # every term of every pass against its own reference
     eps = np.finfo(float).eps
     a = mpmath.mpf(alpha)
     with mpmath.workdps(30):
-        w = _engine_case(family, alpha, 1.0, 3 * _BLOCK)
+        w = _engine_case(family, alpha, 1.0, 3 * _BLOCK + 1)
         if family == "gl":
-            exact = [lambda k: _mp_gl(a, k)]
+            exact = [[lambda k: _mp_gl(a, k)]]
         elif family == "nc0":
-            exact = [lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
-                     / mpmath.gamma(a + 1)]
+            exact = [[lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
+                      / mpmath.gamma(a + 1)]]
+        elif family in ("nc2", "nc3"):
+            exact = [_mp_newton_cotes_terms(w.p, a)]
         else:
             # C(alpha, k) = (-1)^k C(-(-alpha), k), then 2^-alpha GL(alpha)
-            exact = [lambda k: (-1)**k * _mp_gl(-a, k),
-                     lambda k: 2**-a * _mp_gl(a, k)]
-        assert len(w.far_field) == len(exact)
+            exact = [[lambda k: (-1)**k * _mp_gl(-a, k)],
+                     [lambda k: 2**-a * _mp_gl(a, k)]]
+        assert [len(far.terms) for far in w.far_field] == list(map(len, exact))
         for far, want in zip(w.far_field, exact):
             errs = _mode_rel_errors(far, n, want)
             assert max(errs) <= _MODE_SHARE * n * eps, errs
