@@ -36,7 +36,7 @@ from .dielectric import (
     universal_susceptibility,
     verify_universal_ratio,
 )
-from .exceptions import FracquadError
+from .exceptions import DomainError, FracquadError
 from .quadrature import (
     SampledSignal,
     UniformGrid,
@@ -276,6 +276,9 @@ def _parse_omega_range(spec: str, log_spacing: bool) -> np.ndarray:
         ) from exc
     if count < 1:
         raise _UsageError("--omega-range count must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"--omega-range endpoints must be finite, "
+                          f"got {spec!r}")
     if count == 1 or lo == hi:
         return np.full(count, lo)
     if log_spacing:
@@ -313,6 +316,9 @@ def _cmd_dielectric(args) -> None:
             raise _UsageError("--time-domain takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
         grid = _time_grid(args.dt, args.t_end)
+        if not math.isfinite(args.omega0):
+            raise DomainError(f"probe frequency must be finite, "
+                              f"got {args.omega0!r}")
         field = SampledSignal(grid, np.sin(args.omega0 * grid.nodes))
         pol = fractional_polarization(
             field, model.alpha, eps0=args.eps0,

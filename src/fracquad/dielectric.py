@@ -74,6 +74,9 @@ class DebyeModel:
     eps0: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.n_density, self.a_coupling,
+                                       self.tau, self.eps0))):
+            raise DomainError(f"Debye parameters must be finite, got {self}")
         if not self.tau > 0.0:
             raise DomainError(f"relaxation time must be positive, got {self.tau!r}")
         if not self.n_density > 0.0 or not self.eps0 > 0.0:
@@ -105,8 +108,12 @@ class LorentzEnsemble:
         modes = tuple(LorentzMode(*m) for m in self.modes)
         if not modes:
             raise DomainError("ensemble needs at least one mode")
+        if not all(map(math.isfinite, (self.n_density, self.electron_charge,
+                                       self.electron_mass, self.eps0))):
+            raise DomainError("ensemble constants must be finite")
         for m in modes:
-            if m.weight < 0.0 or m.omega <= 0.0 or m.damping < 0.0:
+            if not (all(map(math.isfinite, m)) and m.weight >= 0.0
+                    and m.omega > 0.0 and m.damping >= 0.0):
                 raise DomainError(f"invalid mode {m}")
         object.__setattr__(self, "modes", modes)
         total = sum(m.weight for m in modes)
@@ -120,6 +127,14 @@ class LorentzEnsemble:
             )
 
 
+def _finite(omega) -> np.ndarray:
+    """``omega`` as a float array, every entry finite."""
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise DomainError("omega must be finite")
+    return omega
+
+
 def universal_susceptibility(model: UniversalResponse, omega,
                              scale: float = 1.0):
     """Power-law susceptibility ``scale * (j omega)^(n-1)``.
@@ -128,9 +143,9 @@ def universal_susceptibility(model: UniversalResponse, omega,
     convention, ``omega^(n-1) * exp(+j pi (1-n)/2)``, which keeps the loss
     part positive and the ratio ``chi''/chi' = cot(n pi/2)``.
     """
-    if not scale > 0.0:
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    omega = np.asarray(omega, dtype=float)
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    omega = _finite(omega)
     if np.any(omega <= 0.0):
         raise DomainError("the power law is defined for omega > 0 only")
     n = model.n_exp
@@ -142,7 +157,7 @@ def universal_susceptibility(model: UniversalResponse, omega,
 
 def debye_susceptibility(model: DebyeModel, omega):
     """Debye susceptibility ``(1/eps0) N a tau / (1 - j omega tau)``."""
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite(omega)
     static = model.n_density * model.a_coupling * model.tau / model.eps0
     chi = static / (1.0 - 1j * omega * model.tau)
     return chi if chi.ndim else complex(chi)
@@ -155,7 +170,7 @@ def lorentz_susceptibility(model: LorentzEnsemble, omega):
     :class:`ResonanceWarning` (and yields an infinite value at the exact
     pole) when probed at or next to an undamped resonance.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _finite(omega)
     if np.any(omega < 0.0):
         raise DomainError("omega must be >= 0")
     prefactor = (model.n_density * model.electron_charge**2
@@ -195,6 +210,8 @@ def fractional_polarization(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not math.isfinite(eps0):
+        raise DomainError(f"eps0 must be finite, got {eps0!r}")
     grid = e_field.grid
     weights = weights_for_scheme(scheme, alpha, grid.dt, grid.n)
     out = frac_integral(e_field, weights, method=method)
@@ -239,8 +256,9 @@ def verify_universal_ratio(
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha
-    if not omega0 > 0.0:
-        raise DomainError(f"probe frequency must be positive, got {omega0!r}")
+    if not 0.0 < omega0 < math.inf:
+        raise DomainError(f"probe frequency must be positive and finite, "
+                          f"got {omega0!r}")
     grid = _time_grid(dt, t_end)
     t = grid.nodes
     field = SampledSignal(grid, np.sin(omega0 * t))

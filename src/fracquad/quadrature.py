@@ -17,7 +17,8 @@ a sum-of-exponentials engine, O(N (L + M)), takes samples two or more
 blocks back through M ~ 100 one-signed modes per term of the weights'
 integral form, bitwise causal and within the same bound.  Every rule has
 that form for non-integer orders below 1 (GL down to -64; FLMM_TRAP above
--1); other orders, and signals below ``_MODES_CUTOFF``, run ``direct``.
+-1); other orders, and signals below 3000 samples (4500 for the two terms
+of NC3 and FLMM_TRAP), run ``direct``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .exceptions import (
 from .special import gamma
 from .weights import (
     WeightSequence,
+    _FarField,
     _causal_conv_direct,
     _causal_conv_modes,
     _far_field,
@@ -120,7 +122,7 @@ def _check_compatibility(signal: SampledSignal,
         )
 
 
-def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: tuple,
+def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _FarField | None,
               method: str, head: np.ndarray | None = None,
               shift: bool = False) -> np.ndarray:
     """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k`` for the weights
@@ -163,7 +165,7 @@ def frac_integral(
         sum-of-exponentials engine: O(N (L + M)), bitwise causal, within
         a quarter of that bound as measured, and the same as ``direct``
         for weights without an integral form (integer orders, orders of 1
-        and above) or signals shorter than ``_MODES_CUTOFF``.
+        and above) or signals shorter than the engine's cutoff.
     starting_degree : int, optional
         When given, add the polynomial-exactness corrections of this degree
         (weights attached to the first ``starting_degree + 1`` nodes).
@@ -235,8 +237,8 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
                                            method, head))
 
 
-def _newton_cotes_rule(alpha: float, dt: float, n: int,
-                       p: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int
+                       ) -> tuple[np.ndarray, _FarField | None, np.ndarray]:
     """Toeplitz weights ``v`` with their far field, and the starting columns
     of :func:`frac_newton_cotes`, scaled by ``dt^alpha / Gamma(alpha)``.
 
@@ -257,7 +259,7 @@ def _newton_cotes_rule(alpha: float, dt: float, n: int,
         # node 0 closes the last panel and has no panel beyond it
         columns = -near[np.newaxis, :]
         # the hat on [-1, 1]: int (1 - |y|) e^(-uy) dy
-        terms = ((lambda u, a: (2.0 * np.sinh(0.5 * u) / u)**2, False),)
+        terms = [(lambda u, a: (2.0 * np.sinh(0.5 * u) / u)**2, False)]
     else:
         # panel i spans distances 2i..2i+2 (centre 2i+1)
         near = 0.5 * (m2 - m1)
@@ -282,11 +284,12 @@ def _newton_cotes_rule(alpha: float, dt: float, n: int,
         ])
         odd[0] -= mid[: n // 2]
         odd[1] -= near[: n // 2]
-        terms = ((lambda u, a: _panel_g(u, 1.0), False),
-                 (lambda u, a: _panel_g(u, -1.0), True))
+        terms = [(lambda u, a: _panel_g(u, 1.0), False),
+                 (lambda u, a: _panel_g(u, -1.0), True)]
     scale = dt**alpha / gamma(alpha)
     v *= scale
-    return v, _far_field(alpha, dt**alpha, v, *terms), columns.T * scale
+    far = _far_field(*((g, alpha, dt**alpha, alt) for g, alt in terms))
+    return v, far, columns.T * scale
 
 
 def _panel_g(u: np.ndarray, sign: float) -> np.ndarray:
@@ -332,7 +335,8 @@ def _panel_moments(alpha: float, n: int) -> np.ndarray:
                              binom[0::2] / (odd + 2.0)])
     x = 1.0 / centres
     y = x[16:] * x[16:]
-    powers = np.ones((7, len(y)))
+    powers = np.empty((7, len(y)))
+    powers[0] = 1.0
     for i in range(1, 7):  # cumprod, without its slow axis-0 loop
         np.multiply(powers[i - 1], y, out=powers[i])
     moments = np.empty((3, n))
@@ -359,9 +363,10 @@ def short_memory_integral(
     """Fractional integral with the convolution tail cut at ``memory_length``.
 
     Keeps only the newest ``memory_length`` kernel terms of each output
-    node; with ``memory_length == grid.n`` this is the same code path as
-    :func:`frac_integral` and produces bitwise-equal results.  Truncation
-    is only safe when the weights decay (derivative-type kernels).
+    node; with ``memory_length == grid.n`` it gives :func:`frac_integral`'s
+    ``direct`` output bit for bit (cut weights have no integral form, so
+    ``fft`` runs direct too).  Truncation is only safe when the weights
+    decay (derivative-type kernels).
     """
     n = signal.grid.n
     if not 1 <= memory_length <= n:
@@ -369,7 +374,6 @@ def short_memory_integral(
             f"memory length must be in [1, {n}], got {memory_length}"
         )
     _check_compatibility(signal, weights)
-    w = weights.truncated(memory_length)  # carries no far field
-    out = _evaluate(signal.values, w.values, w.far_field, method,
-                    shift=w.scheme.panel_based)
+    out = _evaluate(signal.values, weights.values[:memory_length], None,
+                    method, shift=weights.scheme.panel_based)
     return signal.replace_values(out)

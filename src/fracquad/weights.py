@@ -26,7 +26,7 @@ Starting-weight corrections that restore polynomial exactness near the
 origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
 engine (``WeightSequence.far_field``): GL in (-64, 1), NC0 in (0, 1) and
-FLMM_TRAP in (-1, 1).
+FLMM_TRAP in (-1, 1), one term per branch cut, z > 1 and z < -1.
 """
 
 from __future__ import annotations
@@ -83,14 +83,11 @@ _EULER_SIGMA: tuple[float, ...] = (0.0, 1.0)
 
 @dataclass(frozen=True)
 class _FarField:
-    """An ``fft`` engine pass: exact weights ``near`` of lags below 2 _BLOCK,
-    far lags ``scale sum (+-1)^k int u^-order g(u) e^(-u k) du`` over the
-    ``(g, alternating)`` terms, each g one-signed."""
+    """The ``fft`` engine's form of the weights of lags 2 _BLOCK and up:
+    ``sum scale sin(pi order) / pi (+-1)^k int u^-order g(u, order) e^(-u k)
+    du`` over the ``(g, order, scale, alternating)`` terms, g one-signed."""
 
-    near: np.ndarray
-    order: float
-    scale: float
-    terms: tuple[tuple[Callable[..., np.ndarray], bool], ...]
+    terms: tuple[tuple[Callable[..., np.ndarray], float, float, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -100,14 +97,15 @@ class WeightSequence:
     ``alpha`` is the integral order; a negative value marks the
     derivative-role variant (order ``-alpha`` derivative), available for the
     GL family through the ``(1-z)^(-alpha)`` duality.  ``far_field`` holds
-    the generators' integral form for the ``fft`` engine, pass by pass.
+    the weights' integral form for the ``fft`` engine, or None.
     """
 
     scheme: Scheme
     alpha: float
     dt: float
     values: np.ndarray
-    far_field: tuple = field(default=(), compare=False, repr=False)
+    far_field: _FarField | None = field(default=None, compare=False,
+                                        repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -163,39 +161,34 @@ def _causal_conv_direct(f: np.ndarray, c: np.ndarray,
     return out.ravel()[:n]
 
 
-#: Samples per pass from which the sum-of-exponentials engine beats the
-#: direct path (measured crossover 2.8-3.1e3 for one pass, 5.1-5.6e3 for two).
+#: The sum-of-exponentials engine beats the direct path from _MODES_CUTOFF
+#: samples for one mode term and 1.5 times that for two (measured crossover
+#: 2.6-3.0e3 for one term, 4.3-5.0e3 for two, on 1 and 2 BLAS threads).
 _MODES_CUTOFF = 3000
 
 
 def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
-                       far_field: tuple) -> np.ndarray:
-    """:func:`_causal_conv_direct` in O(N (L + M)): per pass of the far
-    field, block lags 0 and 1 exact and older rows through M same-signed
-    modes per term, so bitwise causal and within
-    ``N * eps * (|f| * |w|)_n`` per term."""
-    if not far_field or len(f) < _MODES_CUTOFF * len(far_field):
+                       far: _FarField | None) -> np.ndarray:
+    """:func:`_causal_conv_direct` in O(N (L + M)): block lags 0 and 1
+    exact, older rows through M same-signed modes per term of ``far``, so
+    bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term."""
+    if far is None or 2 * len(f) < _MODES_CUTOFF * (1 + len(far.terms)):
         return _causal_conv_direct(f, values)
-    for far in far_field:
-        f = _causal_conv_direct(f, far.near, block_lags=2) + _far_lags(f, far)
-    return f
+    return _causal_conv_direct(f, values, block_lags=2) + _far_lags(f, far)
 
 
 def _far_lags(f: np.ndarray, far: _FarField) -> np.ndarray:
     """Rows two or more back: ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
     by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b, the
     modes of every term side by side."""
-    u, c = _modes(far, len(f))
-    alternating = np.repeat([alt for _, alt in far.terms], len(u))
-    u, c = np.tile(u, len(c)), c.ravel()
+    u, c, alternating = _modes(far, len(f))
     rows = -(-len(f) // _BLOCK)
     f_rows = np.zeros((rows, _BLOCK))
     f_rows.ravel()[: len(f)] = f
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
     into, out_of = decay[:0:-1].copy(), c * decay[:-1]
-    if alternating.any():  # (-1)^(L - s + r) on those modes, L even
-        into[1::2, alternating] *= -1.0
-        out_of[1::2, alternating] *= -1.0
+    into[1::2, alternating] *= -1.0  # (-1)^(L - s + r) on those modes, L even
+    out_of[1::2, alternating] *= -1.0
     state = np.zeros((rows, len(u)))
     state[2:] = (f_rows[:-2] @ into) * decay[-1]
     for j in range((rows - 1).bit_length()):
@@ -203,25 +196,33 @@ def _far_lags(f: np.ndarray, far: _FarField) -> np.ndarray:
     return (state @ out_of.T).ravel()[: len(f)]
 
 
-def _modes(far: _FarField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``u_m`` and a row of same-signed ``c_m`` per term: ``w_k ~ sum c_m
-    e^(-u_m k)`` for lags L+1..n by Gauss-Jacobi (weight ``u^b``,
-    b = -order) on [0, 1/n] and Legendre panels in log u up to X/(L+1),
-    past which ``u^b e^(-uk)`` keeps less than e^-40 of its integral:
-    X = 40 and panels of width <= 2 for b <= 1; above, X = 40 + 4 (b - 1)
-    and width <= 2 / sqrt(b), the width of the integrand's peak."""
-    b = -far.order
-    x, wx = _gauss_jacobi(b)
+def _modes(far: _FarField, n: int) -> tuple[np.ndarray, ...]:
+    """``u_m``, same-signed ``c_m`` and alternating flags, term after term:
+    ``w_k ~ sum c_m e^(-u_m k)`` for lags L+1..n by Gauss-Jacobi (weight
+    ``u^b``, b = -order of the term) on [0, 1/n] and Legendre panels in
+    log u up to X/(L+1), past which ``u^b e^(-uk)`` keeps less than e^-40 of
+    its integral: X = 40 and panels of width <= 2 for b <= 1; above,
+    X = 40 + 4 (b - 1) and width <= 2 / sqrt(b), its peak's width."""
     leg_x, leg_w = _gauss_jacobi(0.0)
-    top = 40.0 + 4.0 * max(b - 1.0, 0.0)
-    lo, hi = -np.log(n), np.log(top / (_BLOCK + 1))
-    panels = int(np.ceil((hi - lo) / 2.0 * max(b, 1.0)**0.5))
-    width = (hi - lo) / panels
-    v = (lo + width * (np.arange(panels)[:, None] + leg_x)).ravel()
-    u = np.concatenate((x / n, np.exp(v)))
-    c = np.concatenate((wx * n**-(1.0 + b) / (1.0 + b),
-                        np.tile(width * leg_w, panels) * np.exp((1.0 + b) * v)))
-    return u, np.array([far.scale * c * g(u, far.order) for g, _ in far.terms])
+    modes = []
+    for g, order, scale, alternating in far.terms:
+        # sin(pi order) from the exact fraction of |order|, reflected
+        frac = abs(order) % 1.0
+        sin = (np.sign(order) * (-1.0)**math.floor(abs(order))
+               * np.sin(np.pi * min(frac, 1.0 - frac)))
+        b = -order
+        x, wx = _gauss_jacobi(b)
+        top = 40.0 + 4.0 * max(b - 1.0, 0.0)
+        lo, hi = -np.log(n), np.log(top / (_BLOCK + 1))
+        panels = int(np.ceil((hi - lo) / 2.0 * max(b, 1.0)**0.5))
+        width = (hi - lo) / panels
+        v = (lo + width * (np.arange(panels)[:, None] + leg_x)).ravel()
+        u = np.concatenate((x / n, np.exp(v)))
+        c = np.concatenate((wx * n**-(1.0 + b) / (1.0 + b), np.tile(
+            width * leg_w, panels) * np.exp((1.0 + b) * v)))
+        c = scale * sin / np.pi * c * g(u, order)
+        modes.append((u, c, np.full(len(u), alternating)))
+    return tuple(np.concatenate(column) for column in zip(*modes))
 
 
 def _gauss_jacobi(b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,25 +237,26 @@ def _gauss_jacobi(b: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), vectors[0] ** 2
 
 
-def _far_field(order: float, scale: float, near: np.ndarray,
-               *terms: tuple[Callable[..., np.ndarray], bool]
-               ) -> tuple[_FarField, ...]:
-    """The pass ``scale sin(pi order) / pi sum int u^-order g e^(-u k) du``
-    over ``near`` for every non-integer order in (-L/2, 1), none otherwise:
-    from lag L+1 on the integrands decay at least like ``e^(-u L/2)``.
-    The sin is reduced mod 2 and reflected for orders near an integer."""
-    if not (-_BLOCK / 2 < order < 1.0 and order != round(order)):
-        return ()
-    x = abs(order) % 2.0  # exact, as is every reduction below
-    sign = np.sign(order) if x < 1.0 else -np.sign(order)
-    x %= 1.0
-    sin = sign * np.sin(np.pi * min(x, 1.0 - x))
-    return (_FarField(near[: 2 * _BLOCK], order, scale * sin / np.pi, terms),)
+def _far_field(*terms: tuple[Callable[..., np.ndarray], float, float, bool]
+               ) -> _FarField | None:
+    """The far field of the ``(g, order, scale, alternating)`` terms when
+    every order is a non-integer in (-L/2, 1), None otherwise: from lag L+1
+    on the integrands decay at least like ``e^(-u L/2)``."""
+    if all(-_BLOCK / 2 < t[1] < 1.0 and t[1] != round(t[1]) for t in terms):
+        return _FarField(terms)
+    return None
 
 
 def _gl_g(u: np.ndarray, order: float) -> np.ndarray:
     """g of the Beta integral of the GL weights ``(-1)^k C(-order, k)``."""
     return np.exp(-u * order) * (u / -np.expm1(-u))**order
+
+
+def _flmm_g(c: float) -> Callable[..., np.ndarray]:
+    """``g = (c u coth(u/2))^order`` of a cut of ``((1 + z) / (2 (1 -
+    z)))^alpha``: c = 1/2, order alpha on z > 1, c = 2, order -alpha on
+    z < -1, so ``u^-order g = ((e^u +- 1) / (2 (e^u -+ 1)))^alpha``."""
+    return lambda u, order: (c * u / np.tanh(0.5 * u))**order
 
 
 def _validate_common(alpha: float, dt: float, n: int,
@@ -290,7 +292,7 @@ def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
         raise DomainError("order 0 has no weight rule; it is the identity")
     k = np.arange(1.0, n)
     values = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k]) * dt**alpha
-    far = _far_field(alpha, dt**alpha, values, (_gl_g, False))
+    far = _far_field((_gl_g, alpha, dt**alpha, False))
     return WeightSequence(Scheme.GL, alpha, dt, values, far)
 
 
@@ -310,8 +312,8 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
         values[1:] = np.exp(alpha * np.log(k)) * np.expm1(alpha * np.log1p(1.0 / k))
     values *= dt**alpha / gamma(alpha + 1.0)
     # t^(alpha-1) = int u^(-alpha) e^(-u t) du / Gamma(1-alpha), over [k, k+1]
-    box = (lambda u, a: -np.expm1(-u) / u, False)
-    far = _far_field(alpha, dt**alpha, values, box)
+    box = (lambda u, a: -np.expm1(-u) / u, alpha, dt**alpha, False)
+    far = _far_field(box)
     return WeightSequence(Scheme.NC0, alpha, dt, values, far)
 
 
@@ -349,12 +351,8 @@ def flmm_weights(
     """
     _validate_common(alpha, dt, n)
     alpha = float(alpha)
-    num = _reversed_padded(numerator)
-    den = _reversed_padded(denominator)
-    if len(num) != len(den):
-        longer = max(len(num), len(den))
-        num = np.pad(num, (longer - len(num), 0))
-        den = np.pad(den, (longer - len(den), 0))
+    longer = max(len(numerator), len(denominator))
+    num, den = (_reversed_padded(c, longer) for c in (numerator, denominator))
     if den[0] == 0.0:
         raise DegenerateMethodError(
             "rho(1/z) normalization has no constant term; the method "
@@ -371,12 +369,13 @@ def flmm_weights(
     return WeightSequence(scheme, alpha, dt, v)
 
 
-def _reversed_padded(coeffs: Sequence[float]) -> np.ndarray:
+def _reversed_padded(coeffs: Sequence[float], length: int) -> np.ndarray:
     arr = np.asarray(list(coeffs), dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("generating polynomial needs >= 1 coefficient")
-    # zeta -> 1/z followed by clearing z powers == coefficient reversal
-    return arr[::-1].copy()
+    # zeta -> 1/z followed by clearing the same z powers from both
+    # polynomials == coefficient reversal, the shorter one zero-led
+    return np.pad(arr[::-1], (length - len(arr), 0))
 
 
 def _series_divide(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
@@ -431,14 +430,11 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         b = gl_weights(alpha, 1.0, n)  # also rejects order 0
         alpha, k = b.alpha, np.arange(1.0, n)
         a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
-        scale = (dt / 2.0)**alpha
-        values = _causal_conv_modes(a, b.values, b.far_field) * scale
-        # (1+z)^alpha: GL(-alpha) modes at -z; then GL(alpha) at dt/2; the
-        # rule has a far field only when both passes do
-        far = _far_field(-alpha, 1.0, a, (_gl_g, True)) + _far_field(
-            alpha, scale, b.values[: 2 * _BLOCK] * scale, (_gl_g, False))
-        return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values,
-                              far if len(far) == 2 else ())
+        values = _causal_conv_modes(a, b.values, b.far_field) * (dt / 2)**alpha
+        # the branch cuts z > 1 and z < -1 (the alternating term)
+        far = _far_field((_flmm_g(0.5), alpha, dt**alpha, False),
+                         (_flmm_g(2.0), -alpha, dt**alpha, True))
+        return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values, far)
     raise DomainError(f"unknown scheme {scheme!r}")
 
 

@@ -294,19 +294,40 @@ def test_runtime_errors_exit_one(capsys):
     assert "tile" in err
 
 
-@pytest.mark.parametrize("scheme, alpha", [("nc3", "inf"), ("trap", "1e308")])
-def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
-    # one typed error line on stderr, no numpy RuntimeWarning before it
+def _run_cli_process(*argv):
+    # a fresh interpreter, so that a numpy warning reaches stderr
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(Path(fracquad.__file__).resolve().parents[1])
                          + os.pathsep + env.get("PYTHONPATH", ""))
-    run = subprocess.run(
-        [sys.executable, "-m", "fracquad.cli", "integrate", "--f", "exp",
-         "--alpha", alpha, "--t-end", "1", "--n", "65", "--scheme", scheme],
-        env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "fracquad.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("scheme, alpha", [("nc3", "inf"), ("trap", "1e308")])
+def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
+    # one typed error line on stderr, no numpy RuntimeWarning before it
+    run = _run_cli_process("integrate", "--f", "exp", "--alpha", alpha,
+                           "--t-end", "1", "--n", "65", "--scheme", scheme)
     assert (run.returncode, run.stdout) == (1, "")
     assert len(run.stderr.splitlines()) == 1
     assert "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("--omega-range", "nan:10:3"), "omega-range"),
+    (("--omega-range", "1:inf:2"), "omega-range"),
+    (("--model", "lorentz", "--modes", "1:nan:0.1"), "mode"),
+    (("--model", "debye", "--tau", "inf"), "finite"),
+    (("--verify-ratio", "--omega0", "inf"), "probe frequency"),
+    (("--time-domain", "--omega0", "inf"), "probe frequency"),
+    (("--time-domain", "--eps0", "nan"), "eps0"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_dielectric_non_finite_input_exit_one(argv, word):
+    # one typed error line naming the input, no NaN rows, no RuntimeWarning
+    run = _run_cli_process("dielectric", *argv)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert len(run.stderr.splitlines()) == 1
+    assert word in run.stderr and "Warning" not in run.stderr
 
 
 def test_integrate_nc3_fft_runs_the_engine(capsys):

@@ -186,6 +186,35 @@ def test_fractional_polarization_domain():
         fractional_polarization(field, 1.0)
 
 
+_FIELD = SampledSignal(UniformGrid(0.05, 16), np.ones(16))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: universal_susceptibility(UniversalResponse(0.5),
+                                      [1.0, math.nan]), "omega"),
+    (lambda: universal_susceptibility(UniversalResponse(0.5), 1.0,
+                                      scale=math.inf), "scale"),
+    (lambda: debye_susceptibility(DebyeModel(), math.inf), "omega"),
+    (lambda: lorentz_susceptibility(LorentzEnsemble(((1.0, 1.0, 0.1),)),
+                                    [2.0, math.nan]), "omega"),
+    (lambda: DebyeModel(tau=math.inf), "finite"),
+    (lambda: DebyeModel(a_coupling=math.nan), "finite"),
+    (lambda: LorentzEnsemble(((1.0, math.nan, 0.1),)), "mode"),
+    (lambda: LorentzEnsemble(((1.0, 1.0, math.inf),)), "mode"),
+    (lambda: LorentzEnsemble(((1.0, 1.0, 0.1),), n_density=math.inf),
+     "finite"),
+    (lambda: fractional_polarization(_FIELD, 0.5, eps0=math.nan), "eps0"),
+    (lambda: verify_universal_ratio(0.5, omega0=math.inf), "probe"),
+], ids=["universal-omega", "universal-scale", "debye-omega",
+        "lorentz-omega", "debye-tau", "debye-coupling", "lorentz-omega0",
+        "lorentz-damping", "lorentz-density", "polarization-eps0",
+        "ratio-omega0"])
+def test_non_finite_inputs_rejected(call, match):
+    # a typed error before any numpy work, not NaN output or a warning
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 @pytest.mark.parametrize("grid", [{"dt": 0.0}, {"dt": math.nan},
                                   {"dt": math.inf}, {"t_end": 0.0},
                                   {"t_end": math.nan}, {"t_end": -20.0}],

@@ -14,17 +14,27 @@ from fracquad.quadrature import (  # noqa: E402
     frac_integral,
     frac_newton_cotes,
 )
-from fracquad.weights import gl_weights  # noqa: E402
+from fracquad.weights import (  # noqa: E402
+    Scheme,
+    gl_weights,
+    weights_for_scheme,
+)
 
 _ORDERS = st.floats(-3.0, 1.0, exclude_min=True, exclude_max=True).filter(
     lambda a: a != round(a))
+_FLMM_ORDERS = st.floats(-1.0, 1.0, exclude_min=True,
+                         exclude_max=True).filter(lambda a: a != 0.0)
 
 
 @st.composite
 def _cases(draw):
+    # N on both sides of the engine's cutoffs, 3000 samples for one mode
+    # term and 4500 for two (FLMM_TRAP, NC3)
     n = draw(st.integers(3000, 6000))
     if draw(st.booleans()):
         return "gl", draw(_ORDERS), n
+    if draw(st.booleans()):
+        return "flmm", draw(_FLMM_ORDERS), n
     p = draw(st.sampled_from([2, 3]))
     alpha = draw(st.floats(1e-6, 1.0, exclude_max=True))
     return p, alpha, n | 1 if p == 3 else n
@@ -40,8 +50,10 @@ def test_fft_within_direct_bound(case, seed):
     rng = np.random.default_rng(seed)
     grid = UniformGrid(0.01, n)
     sig = SampledSignal(grid, rng.standard_normal(n))
-    if rule == "gl":
-        w, head = gl_weights(alpha, grid.dt, n), np.zeros((n, 0))
+    if rule in ("gl", "flmm"):
+        w = (gl_weights(alpha, grid.dt, n) if rule == "gl" else
+             weights_for_scheme(Scheme.FLMM_TRAP, alpha, grid.dt, n))
+        head = np.zeros((n, 0))
         fft, direct = (frac_integral(sig, w, method=m).values
                        for m in ("fft", "direct"))
         w = w.values

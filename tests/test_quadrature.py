@@ -42,6 +42,7 @@ from fracquad.weights import (
     TRAPEZOID_SIGMA,
     Scheme,
     WeightSequence,
+    _FarField,
     _causal_conv_direct,
     _modes,
     _monomial_defects,
@@ -621,7 +622,7 @@ class _NewtonCotes(NamedTuple):
     alpha: float
     p: int
     values: np.ndarray
-    far_field: tuple
+    far_field: _FarField | None
     head: np.ndarray
 
 
@@ -687,7 +688,9 @@ def test_fft_exact_to_rounding_on_growing_exp(rule):
     ("gl", 0.01, 5003), ("gl", 0.99, 5003), ("gl", 1.0 - 1e-9, 5003),
     ("gl", 1.0 - 2**-53, 5003), ("gl", -0.5, 5003), ("gl", -0.99, 5003),
     ("nc0", 0.05, 5003), ("nc0", 0.95, 5003), ("flmm", 0.1, 7001),
-    ("flmm", -0.9, 7001), ("gl", -7.5, 5003),
+    ("flmm", -0.9, 7001), ("flmm", 0.1, (1 << 14) + 1),
+    ("flmm", 0.9, (1 << 14) + 1), ("flmm", -0.9, (1 << 14) + 1),
+    ("gl", -7.5, 5003),
 ] + [(family, alpha, n) for n in (5003, (1 << 14) + 1)
      for family, alpha in [("nc2", 0.1), ("nc2", 0.5), ("nc2", 0.9),
                            ("nc3", 0.1), ("nc3", 0.5), ("nc3", 0.9),
@@ -807,8 +810,24 @@ def test_fft_without_far_field_equals_direct_bitwise():
                           frac_integral(sig, hand).values)
 
 
+def test_two_term_rules_run_the_engine_from_their_own_cutoff():
+    # two mode terms cost the engine more than one: below 1.5 _MODES_CUTOFF
+    # samples NC3 runs direct bit for bit, above it NC3 and FLMM_TRAP both
+    # run the engine
+    for n in (4097, 4501):
+        grid = UniformGrid(0.01, n)
+        sig = SampledSignal(grid, np.random.default_rng(n).standard_normal(n))
+        nc3 = [frac_newton_cotes(sig, 0.5, 3, method=m).values
+               for m in ("fft", "direct")]
+        assert np.array_equal(*nc3) == (n < 1.5 * _MODES_CUTOFF)
+    flmm = weights_for_scheme(Scheme.FLMM_TRAP, 0.5, grid.dt, n)
+    assert not np.array_equal(frac_integral(sig, flmm, method="fft").values,
+                              frac_integral(sig, flmm).values)
+
+
 def test_far_field_only_for_orders_below_one():
-    # FLMM_TRAP needs both passes: at -1.2 its (1+z)^-1.2 pass has none
+    # one far field per rule, a term per branch cut or parity: FLMM_TRAP at
+    # -1.2 has none, its z < -1 term being of order 1.2
     dt, n = 0.01, 300
     for w in (gl_weights(1.0, dt, n), gl_weights(-2.0, dt, n),
               gl_weights(1.5, dt, n), gl_weights(-64.5, dt, n),
@@ -816,28 +835,31 @@ def test_far_field_only_for_orders_below_one():
               nc0_weights(2.5, dt, n),
               weights_for_scheme(Scheme.FLMM_TRAP, 1.0, dt, n),
               weights_for_scheme(Scheme.FLMM_TRAP, -1.2, dt, n)):
-        assert w.far_field == ()
+        assert w.far_field is None
+
+    def shape(far):
+        return [(order, alternating) for _, order, _, alternating in far.terms]
     for w in (gl_weights(0.7, dt, n), gl_weights(-1.5, dt, n),
               gl_weights(-63.5, dt, n), nc0_weights(0.7, dt, n)):
-        assert [far.terms[0][1] for far in w.far_field] == [False]
+        assert shape(w.far_field) == [(w.alpha, False)]
     flmm = weights_for_scheme(Scheme.FLMM_TRAP, 0.7, dt, n)
-    assert [far.terms[0][1] for far in flmm.far_field] == [True, False]
-    assert not _newton_cotes_rule(1.0, dt, 301, 3)[1]
+    assert shape(flmm.far_field) == [(0.7, False), (-0.7, True)]
+    assert _newton_cotes_rule(1.0, dt, 301, 3)[1] is None
     nc3 = _newton_cotes_rule(0.7, dt, 301, 3)[1]
-    assert [alt for _, alt in nc3[0].terms] == [False, True]
+    assert shape(nc3) == [(0.7, False), (0.7, True)]
 
 
 def _mode_rel_errors(far, n, exact):
-    # one error list per term of the pass, each against its own reference
-    u, c = _modes(far, n)
+    # the modes of each term alone, against that term's own reference
     ks = sorted({_BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, n - 1, n}
                 | {int(k) for k in np.geomspace(_BLOCK + 1, n, 9)})
     errs = []
-    for c_term, (_, alternating), want in zip(c, far.terms, exact):
-        assert np.all(c_term > 0) or np.all(c_term < 0)
+    for term, want in zip(far.terms, exact, strict=True):
+        u, c, alternating = _modes(_FarField((term,)), n)
+        assert np.all(c > 0) or np.all(c < 0)
         for k in ks:
-            sign = (-1.0)**k if alternating else 1.0
-            got = sign * math.fsum(c_term * np.exp(-u * k))
+            sign = (-1.0)**k if alternating[0] else 1.0
+            got = sign * math.fsum(c * np.exp(-u * k))
             errs.append(float(abs((mpmath.mpf(got) - want(k)) / want(k))))
     return errs
 
@@ -868,32 +890,50 @@ def _mp_newton_cotes_terms(p, a):
             lambda k: (-1)**k * (end(k) - mid(k)) / 2]
 
 
+def _mp_flmm_terms(a):
+    # per-term references of the FLMM_TRAP weights at dt = 1, the integrals
+    # along the cuts z > 1 and z < -1: sin(pi order) / pi int h(u) e^(-uk)
+    # du with h ~ u^-order, taken in u = s^p, p = 1 / (1 - order), where
+    # h du is smooth at s = 0
+    def cut(order, h, alternating):
+        p = 1 / (1 - order)
+        scale = mpmath.sin(mpmath.pi * order) / mpmath.pi
+
+        def weight(k):
+            points = [0, (1 / mpmath.mpf(k))**(1 / p),
+                      (40 / mpmath.mpf(k))**(1 / p), mpmath.inf]
+            with mpmath.workdps(20):  # 1e-20 against errors of 1e-15
+                value = scale * mpmath.quad(lambda s: p * s**(p - 1) * h(
+                    s**p) * mpmath.exp(-k * s**p), points)
+            return (-1)**k * value if alternating else value
+        return weight
+    return [cut(a, lambda u: (mpmath.coth(u / 2) / 2)**a, False),
+            cut(-a, lambda u: (2 * mpmath.coth(u / 2))**-a, True)]
+
+
 @pytest.mark.parametrize("n", [5001, 1 << 16])
 @pytest.mark.parametrize("family, alpha", [
     ("gl", 0.01), ("gl", 0.5), ("gl", 0.99), ("gl", 1.0 - 1e-9),
     ("gl", -0.5), ("gl", -0.99), ("nc0", 0.05), ("nc0", 0.5),
-    ("nc0", 0.95), ("flmm", 0.5), ("flmm", -0.9), ("nc2", 0.1),
+    ("nc0", 0.95), ("flmm", 0.1), ("flmm", 0.5), ("flmm", 0.9),
+    ("flmm", -0.5), ("flmm", -0.9), ("nc2", 0.1),
     ("nc2", 0.5), ("nc2", 0.9), ("nc3", 0.1), ("nc3", 0.5), ("nc3", 0.9),
     ("gl", -1.1), ("gl", -1.5), ("gl", -2.5), ("gl", -7.5),
 ])
 def test_modes_match_mpmath_weights(family, alpha, n):
-    # every term of every pass against its own reference
+    # every term of the far field against its own reference
     eps = np.finfo(float).eps
     a = mpmath.mpf(alpha)
     with mpmath.workdps(30):
         w = _engine_case(family, alpha, 1.0, 3 * _BLOCK + 1)
         if family == "gl":
-            exact = [[lambda k: _mp_gl(a, k)]]
+            exact = [lambda k: _mp_gl(a, k)]
         elif family == "nc0":
-            exact = [[lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
-                      / mpmath.gamma(a + 1)]]
+            exact = [lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
+                     / mpmath.gamma(a + 1)]
         elif family in ("nc2", "nc3"):
-            exact = [_mp_newton_cotes_terms(w.p, a)]
+            exact = _mp_newton_cotes_terms(w.p, a)
         else:
-            # C(alpha, k) = (-1)^k C(-(-alpha), k), then 2^-alpha GL(alpha)
-            exact = [[lambda k: (-1)**k * _mp_gl(-a, k)],
-                     [lambda k: 2**-a * _mp_gl(a, k)]]
-        assert [len(far.terms) for far in w.far_field] == list(map(len, exact))
-        for far, want in zip(w.far_field, exact):
-            errs = _mode_rel_errors(far, n, want)
-            assert max(errs) <= _MODE_SHARE * n * eps, errs
+            exact = _mp_flmm_terms(a)
+        errs = _mode_rel_errors(w.far_field, n, exact)
+        assert max(errs) <= _MODE_SHARE * n * eps, errs
