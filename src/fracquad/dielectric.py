@@ -111,6 +111,9 @@ class LorentzEnsemble:
         if not all(map(math.isfinite, (self.n_density, self.electron_charge,
                                        self.electron_mass, self.eps0))):
             raise DomainError("ensemble constants must be finite")
+        if not min(self.n_density, self.electron_mass, self.eps0) > 0.0:
+            raise DomainError("density, electron mass and eps0 must be "
+                              "positive")
         for m in modes:
             if not (all(map(math.isfinite, m)) and m.weight >= 0.0
                     and m.omega > 0.0 and m.damping >= 0.0):

@@ -13,12 +13,12 @@ The ``direct`` path (the default) sums only the causal triangle, as
 products of signal blocks with Toeplitz blocks of the weights (one
 ``np.convolve`` call for short signals): bitwise causal, each node within
 ``N * eps * (|f| * |w|)_n``.  The ``fft`` path makes no Fourier transform:
-a sum-of-exponentials engine, O(N (L + M)), takes samples two or more
-blocks back through M ~ 100 one-signed modes per term of the weights'
-integral form, bitwise causal and within the same bound.  Every rule has
-that form for non-integer orders below 1 (GL down to -64; FLMM_TRAP above
--1); other orders, and signals below 3000 samples (4500 for the two terms
-of NC3 and FLMM_TRAP), run ``direct``.
+a sum-of-exponentials engine, O(N (L + M)), cuts the same blocks once, takes
+block lags 0 and 1 as ``direct`` does and older ones through M ~ 100
+one-signed modes per term of the weights' integral form, bitwise causal and
+within the same bound, for non-integer orders below 1 (GL down to -64;
+FLMM_TRAP above -1); other orders, and signals below 3000 samples (4500 for
+the two terms of NC3 and FLMM_TRAP), run ``direct``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .exceptions import (
 from .special import gamma
 from .weights import (
     WeightSequence,
-    _FarField,
-    _causal_conv_direct,
+    _Terms,
     _causal_conv_modes,
     _far_field,
     _validate_common,
@@ -122,7 +121,7 @@ def _check_compatibility(signal: SampledSignal,
         )
 
 
-def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _FarField | None,
+def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _Terms | None,
               method: str, head: np.ndarray | None = None,
               shift: bool = False) -> np.ndarray:
     """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k`` for the weights
@@ -132,13 +131,11 @@ def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _FarField | None,
     moves one sample later (``f_(-1) = 0``), so ``out[n]`` sums panels
     0..n-1 and ``out[0] = 0``.
     """
-    g = np.concatenate(([0.0], f[:-1])) if shift else f
-    if method == "direct":
-        out = _causal_conv_direct(g, weights)
-    elif method == "fft":
-        out = _causal_conv_modes(g, weights, far_field)
-    else:
+    if method not in ("direct", "fft"):
         raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
+    g = np.concatenate(([0.0], f[:-1])) if shift else f
+    out = _causal_conv_modes(g, weights,
+                             far_field if method == "fft" else None)
     if head is not None:
         out += head @ f[: head.shape[1]]
     return out
@@ -238,7 +235,7 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
 
 
 def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int
-                       ) -> tuple[np.ndarray, _FarField | None, np.ndarray]:
+                       ) -> tuple[np.ndarray, _Terms | None, np.ndarray]:
     """Toeplitz weights ``v`` with their far field, and the starting columns
     of :func:`frac_newton_cotes`, scaled by ``dt^alpha / Gamma(alpha)``.
 

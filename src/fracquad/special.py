@@ -14,9 +14,12 @@ The lower incomplete gamma function uses the positive-term series
     gamma_lower(t, a) = e^-t t^a sum_{n>=0} t^n / (a (a+1) ... (a+n))
 
 for ``t < a + 1`` and ``Gamma(a)`` minus a Lentz continued fraction for the
-upper tail otherwise (the Numerical Recipes ``gser``/``gcf`` split).  No
-term of either branch cancels, so the result stays within a few ulps times
-the number of series terms at every ``t``.
+upper tail otherwise (the Numerical Recipes ``gser``/``gcf`` split).  The
+series is within ``eps max(m, 16)`` relative, m its term count.  The
+continued fraction subtracts a tail of up to half of ``Gamma(a)`` (near
+t = a + 1), both exponentials some ``|lgamma(a)| eps`` off (``Gamma(a)`` is
+``exp(lgamma(a))``): measured at most ``(16 + 3.3 |lgamma(a)|) eps``, 1944
+eps at (t, a) = (148.20, 147.19).
 """
 
 from __future__ import annotations
@@ -112,7 +115,11 @@ def _lower_gamma_series(t: float, alpha: float) -> float:
         term *= t / (alpha + n)
         total += term
         if term <= _SERIES_STOP_RATIO * total:
-            return total * t**alpha * math.exp(-t)
+            try:
+                return total * t**alpha * math.exp(-t)
+            except OverflowError:  # in t^alpha: e^-t between its halves
+                half = t**(0.5 * alpha)
+                return total * half * math.exp(-t) * half
     raise DomainError(
         f"incomplete gamma series failed to converge for t={t:g}, "
         f"alpha={alpha:g}"

@@ -25,13 +25,14 @@ J.C.P. Miller recurrence, an independent check on the closed forms.
 Starting-weight corrections that restore polynomial exactness near the
 origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
-engine (``WeightSequence.far_field``): GL in (-64, 1), NC0 in (0, 1) and
-FLMM_TRAP in (-1, 1), one term per branch cut, z > 1 and z < -1.
+engine, ``WeightSequence.far_field``, a tuple of terms: GL in (-64, 1), NC0
+in (0, 1) and FLMM_TRAP in (-1, 1), a term per branch cut, z > 1 and z < -1.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -81,13 +82,10 @@ _EULER_RHO: tuple[float, ...] = (-1.0, 1.0)
 _EULER_SIGMA: tuple[float, ...] = (0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class _FarField:
-    """The ``fft`` engine's form of the weights of lags 2 _BLOCK and up:
-    ``sum scale sin(pi order) / pi (+-1)^k int u^-order g(u, order) e^(-u k)
-    du`` over the ``(g, order, scale, alternating)`` terms, g one-signed."""
-
-    terms: tuple[tuple[Callable[..., np.ndarray], float, float, bool], ...]
+#: A far field: the ``fft`` engine takes the weights past lag L as
+#: ``sum scale sin(pi order) / pi (+-1)^k int u^-order g(u, order) e^(-uk) du``
+#: over its ``(g, order, scale, alternating)`` terms, g one-signed.
+_Terms = tuple[tuple[Callable[..., np.ndarray], float, float, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,7 @@ class WeightSequence:
     alpha: float
     dt: float
     values: np.ndarray
-    far_field: _FarField | None = field(default=None, compare=False,
-                                        repr=False)
+    far_field: _Terms | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -132,25 +129,16 @@ _BLOCK = 128
 _LEAF_CUTOFF = 1024
 
 
-def _causal_conv_direct(f: np.ndarray, c: np.ndarray,
-                        block_lags: int | None = None) -> np.ndarray:
-    """``out[n] = sum_(j <= n) c_j f_(n-j)`` for every node of ``f``.
-
-    Rows of L = ``_BLOCK`` samples times the Toeplitz blocks
-    ``T_d[r, s] = c[d L + r - s]`` of each block lag d: only the causal
-    triangle is summed, each output within ``N * eps * (|f| * |c|)_n``, and
-    the exact zeros above the diagonal keep the result bitwise causal.
-    ``block_lags`` keeps only the block lags d below it.
-    """
-    n = len(f)
-    c = c[:n]
-    if n <= _LEAF_CUTOFF and block_lags is None:
-        return np.convolve(f, c)[:n]
-    rows = -(-n // _BLOCK)
-    lags = min(rows, (len(c) + _BLOCK - 2) // _BLOCK + 1, block_lags or rows)
-    c = c[: lags * _BLOCK]
+def _blocked(f: np.ndarray, c: np.ndarray,
+             lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` in rows of L = ``_BLOCK`` samples, zero-padded, and the sum over
+    block lags d < ``lags`` of the rows d back times the Toeplitz blocks
+    ``T_d[r, s] = c[d L + r - s]``: only the causal triangle is summed, and
+    the exact zeros above the diagonal keep the result bitwise causal."""
+    rows = -(-len(f) // _BLOCK)
     f_rows = np.zeros((rows, _BLOCK))
-    f_rows.ravel()[:n] = f
+    f_rows.ravel()[: len(f)] = f
+    c = c[: lags * _BLOCK]
     kernel = np.zeros((lags + 1) * _BLOCK - 1)
     kernel[_BLOCK - 1: _BLOCK - 1 + len(c)] = c
     windows = np.lib.stride_tricks.sliding_window_view(kernel, _BLOCK)
@@ -158,7 +146,18 @@ def _causal_conv_direct(f: np.ndarray, c: np.ndarray,
     for d in range(lags):
         block = windows[d * _BLOCK: (d + 1) * _BLOCK][::-1].copy()  # T_d.T
         out[d:] += f_rows[: rows - d] @ block
-    return out.ravel()[:n]
+    return f_rows, out
+
+
+def _causal_conv_direct(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``out[n] = sum_(j <= n) c_j f_(n-j)`` for every node of ``f``, each
+    within ``N * eps * (|f| * |c|)_n``, by :func:`_blocked` past the leaf."""
+    n = len(f)
+    c = c[:n]
+    if n <= _LEAF_CUTOFF:
+        return np.convolve(f, c)[:n]
+    lags = min(-(-n // _BLOCK), (len(c) + _BLOCK - 2) // _BLOCK + 1)
+    return _blocked(f, c, lags)[1].ravel()[:n]
 
 
 #: The sum-of-exponentials engine beats the direct path from _MODES_CUTOFF
@@ -168,35 +167,30 @@ _MODES_CUTOFF = 3000
 
 
 def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
-                       far: _FarField | None) -> np.ndarray:
-    """:func:`_causal_conv_direct` in O(N (L + M)): block lags 0 and 1
-    exact, older rows through M same-signed modes per term of ``far``, so
-    bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term."""
-    if far is None or 2 * len(f) < _MODES_CUTOFF * (1 + len(far.terms)):
+                       far: _Terms | None) -> np.ndarray:
+    """:func:`_causal_conv_direct` in O(N (L + M)) for a far field (None runs
+    direct), bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term:
+    block lags 0 and 1 of :func:`_blocked` exact, older rows F through M
+    same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
+    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b."""
+    if far is None or 2 * len(f) < _MODES_CUTOFF * (1 + len(far)):
         return _causal_conv_direct(f, values)
-    return _causal_conv_direct(f, values, block_lags=2) + _far_lags(f, far)
-
-
-def _far_lags(f: np.ndarray, far: _FarField) -> np.ndarray:
-    """Rows two or more back: ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
-    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b, the
-    modes of every term side by side."""
     u, c, alternating = _modes(far, len(f))
-    rows = -(-len(f) // _BLOCK)
-    f_rows = np.zeros((rows, _BLOCK))
-    f_rows.ravel()[: len(f)] = f
+    f_rows, out = _blocked(f, values, 2)
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
     into, out_of = decay[:0:-1].copy(), c * decay[:-1]
     into[1::2, alternating] *= -1.0  # (-1)^(L - s + r) on those modes, L even
     out_of[1::2, alternating] *= -1.0
-    state = np.zeros((rows, len(u)))
-    state[2:] = (f_rows[:-2] @ into) * decay[-1]
-    for j in range((rows - 1).bit_length()):
+    state = np.zeros((len(f_rows), len(u)))
+    np.matmul(f_rows[:-2], into, out=state[2:])
+    state[2:] *= decay[-1]
+    for j in range((len(f_rows) - 1).bit_length()):
         state[1 << j:] += np.exp(-u * (_BLOCK << j)) * state[: -(1 << j)]
-    return (state @ out_of.T).ravel()[: len(f)]
+    out += state @ out_of.T
+    return out.ravel()[: len(f)]
 
 
-def _modes(far: _FarField, n: int) -> tuple[np.ndarray, ...]:
+def _modes(far: _Terms, n: int) -> tuple[np.ndarray, ...]:
     """``u_m``, same-signed ``c_m`` and alternating flags, term after term:
     ``w_k ~ sum c_m e^(-u_m k)`` for lags L+1..n by Gauss-Jacobi (weight
     ``u^b``, b = -order of the term) on [0, 1/n] and Legendre panels in
@@ -205,7 +199,7 @@ def _modes(far: _FarField, n: int) -> tuple[np.ndarray, ...]:
     X = 40 + 4 (b - 1) and width <= 2 / sqrt(b), its peak's width."""
     leg_x, leg_w = _gauss_jacobi(0.0)
     modes = []
-    for g, order, scale, alternating in far.terms:
+    for g, order, scale, alternating in far:
         # sin(pi order) from the exact fraction of |order|, reflected
         frac = abs(order) % 1.0
         sin = (np.sign(order) * (-1.0)**math.floor(abs(order))
@@ -225,6 +219,7 @@ def _modes(far: _FarField, n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(column) for column in zip(*modes))
 
 
+@functools.lru_cache(maxsize=4)  # Legendre and the orders of one call
 def _gauss_jacobi(b: float) -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss rule (Golub-Welsch) for the weight x^b on [0, 1]."""
     k = np.arange(1.0, 16.0)
@@ -238,12 +233,12 @@ def _gauss_jacobi(b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _far_field(*terms: tuple[Callable[..., np.ndarray], float, float, bool]
-               ) -> _FarField | None:
+               ) -> _Terms | None:
     """The far field of the ``(g, order, scale, alternating)`` terms when
     every order is a non-integer in (-L/2, 1), None otherwise: from lag L+1
     on the integrands decay at least like ``e^(-u L/2)``."""
     if all(-_BLOCK / 2 < t[1] < 1.0 and t[1] != round(t[1]) for t in terms):
-        return _FarField(terms)
+        return terms
     return None
 
 

@@ -317,6 +317,9 @@ def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
     (("--omega-range", "nan:10:3"), "omega-range"),
     (("--omega-range", "1:inf:2"), "omega-range"),
     (("--model", "lorentz", "--modes", "1:nan:0.1"), "mode"),
+    (("--model", "lorentz", "--modes", "1:1:0.1", "--eps0", "0"), "eps0"),
+    (("--model", "lorentz", "--modes", "1:1:0.1", "--n-density", "-1"),
+     "density"),
     (("--model", "debye", "--tau", "inf"), "finite"),
     (("--verify-ratio", "--omega0", "inf"), "probe frequency"),
     (("--time-domain", "--omega0", "inf"), "probe frequency"),
@@ -324,6 +327,7 @@ def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_dielectric_non_finite_input_exit_one(argv, word):
     # one typed error line naming the input, no NaN rows, no RuntimeWarning
+    # and no traceback
     run = _run_cli_process("dielectric", *argv)
     assert (run.returncode, run.stdout) == (1, "")
     assert len(run.stderr.splitlines()) == 1

@@ -104,6 +104,17 @@ def test_lorentz_weight_budget():
         LorentzEnsemble(modes=((1.0, 1.0, 0.1),), electrons_per_molecule=2.0)
 
 
+@pytest.mark.parametrize("constant", [
+    {"n_density": -1.0}, {"n_density": 0.0}, {"electron_mass": 0.0},
+    {"electron_mass": -1.0}, {"eps0": 0.0}, {"eps0": -1.0},
+], ids=repr)
+def test_lorentz_nonpositive_constants_rejected(constant):
+    # the prefactor N e^2 / (eps0 m): a zero divides by zero, a negative
+    # value flips the sign of chi
+    with pytest.raises(DomainError, match="positive"):
+        LorentzEnsemble(((1.0, 1.0, 0.1),), **constant)
+
+
 def test_fractional_polarization_constant_field():
     grid = UniformGrid(0.01, 501)
     field = SampledSignal(grid, np.full(grid.n, 2.0))

@@ -42,7 +42,6 @@ from fracquad.weights import (
     TRAPEZOID_SIGMA,
     Scheme,
     WeightSequence,
-    _FarField,
     _causal_conv_direct,
     _modes,
     _monomial_defects,
@@ -622,7 +621,7 @@ class _NewtonCotes(NamedTuple):
     alpha: float
     p: int
     values: np.ndarray
-    far_field: _FarField | None
+    far_field: tuple | None
     head: np.ndarray
 
 
@@ -838,7 +837,7 @@ def test_far_field_only_for_orders_below_one():
         assert w.far_field is None
 
     def shape(far):
-        return [(order, alternating) for _, order, _, alternating in far.terms]
+        return [(order, alternating) for _, order, _, alternating in far]
     for w in (gl_weights(0.7, dt, n), gl_weights(-1.5, dt, n),
               gl_weights(-63.5, dt, n), nc0_weights(0.7, dt, n)):
         assert shape(w.far_field) == [(w.alpha, False)]
@@ -854,8 +853,8 @@ def _mode_rel_errors(far, n, exact):
     ks = sorted({_BLOCK + 1, _BLOCK + 2, 2 * _BLOCK, n - 1, n}
                 | {int(k) for k in np.geomspace(_BLOCK + 1, n, 9)})
     errs = []
-    for term, want in zip(far.terms, exact, strict=True):
-        u, c, alternating = _modes(_FarField((term,)), n)
+    for term, want in zip(far, exact, strict=True):
+        u, c, alternating = _modes((term,), n)
         assert np.all(c > 0) or np.all(c < 0)
         for k in ks:
             sign = (-1.0)**k if alternating[0] else 1.0

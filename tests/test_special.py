@@ -102,10 +102,11 @@ def _series_terms(t, a):
 
 def test_lower_incomplete_gamma_against_mpmath():
     # within eps max(m, 16) gamma_lower, m the positive series' term count;
-    # the first cases sit where an alternating series loses 1e-9..1e-7
+    # the first cases sit where an alternating series loses 1e-9..1e-7, the
+    # last two where t^alpha overflows binary64 and gamma_lower does not
     rng = np.random.default_rng(9)
     cases = [(19.9, 2.5), (19.9, 0.75), (20.0, 2.5), (3.999, 3.0),
-             (4.0, 3.0), (1e-8, 0.05)]
+             (4.0, 3.0), (1e-8, 0.05), (128.4, 154.2), (150.0, 160.0)]
     cases += [(float(rng.uniform(0.0, 40.0)), float(rng.uniform(0.05, 3.0)))
               for _ in range(300)]
     eps = np.finfo(float).eps

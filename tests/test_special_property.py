@@ -1,0 +1,44 @@
+"""Property test: ``lower_incomplete_gamma`` against 40-digit mpmath on
+both branches, for results in the normal binary64 range."""
+
+import math
+
+import mpmath
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from fracquad.special import lower_incomplete_gamma  # noqa: E402
+from test_special import _series_terms  # noqa: E402
+
+_EPS = 2.0**-52
+_ORDERS = st.floats(0.01, 171.0)
+
+
+@st.composite
+def _cases(draw):
+    # the series below t = a + 1, the continued fraction from there to 600
+    a = draw(_ORDERS)
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, a + 1.0, exclude_min=True,
+                              exclude_max=True)), a
+    return draw(st.floats(a + 1.0, a + 600.0)), a
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(case=_cases())
+def test_lower_incomplete_gamma_within_branch_bound(case):
+    # series: eps max(m, 16), m its term count; continued fraction: Gamma(a)
+    # = exp(lgamma(a)) minus a tail of up to half of it, both some
+    # |lgamma(a)| eps off, measured up to (16 + 3.3 |lgamma(a)|) eps
+    t, a = case
+    with mpmath.workdps(40):
+        want = mpmath.gammainc(a, 0, t)
+    hypothesis.assume(2.0**-1022 < want < 2.0**1023)
+    if t < a + 1.0:
+        tol = max(_series_terms(t, a), 16)
+    else:
+        tol = 16 + 5.0 * abs(math.lgamma(a))
+    got = lower_incomplete_gamma(t, a)
+    assert abs(mpmath.mpf(got) - want) <= tol * _EPS * want, (t, a)
