@@ -79,8 +79,8 @@ class DebyeModel:
             raise DomainError(f"Debye parameters must be finite, got {self}")
         if not self.tau > 0.0:
             raise DomainError(f"relaxation time must be positive, got {self.tau!r}")
-        if not self.n_density > 0.0 or not self.eps0 > 0.0:
-            raise DomainError("densities and eps0 must be positive")
+        if not min(self.n_density, self.a_coupling, self.eps0) > 0.0:
+            raise DomainError("density, coupling and eps0 must be positive")
 
 
 class LorentzMode(NamedTuple):

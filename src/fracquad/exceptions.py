@@ -1,5 +1,19 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "FracquadError",
+    "DomainError",
+    "PoleError",
+    "DegenerateMethodError",
+    "SingularSystemError",
+    "GridMismatchError",
+    "LengthError",
+    "AlignmentError",
+    "ToleranceNotMet",
+    "FitError",
+    "ResonanceWarning",
+]
+
 
 class FracquadError(Exception):
     """Base class for all package-specific errors."""

@@ -52,7 +52,11 @@ def exact_integral_exp(t: float, alpha: float) -> float:
         raise DomainError(f"requires t >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
-    return math.exp(t) * lower_incomplete_gamma(t, alpha) / gamma(alpha)
+    lower = lower_incomplete_gamma(t, alpha)
+    value = math.exp(t) * lower / gamma(alpha)
+    if value == math.inf:  # e^t gamma_lower past binary64, the result not
+        value = math.exp(t) * (lower / gamma(alpha))
+    return value
 
 
 def exact_integral_monomial(t: float, alpha: float, q: float) -> float:
@@ -66,8 +70,18 @@ def exact_integral_monomial(t: float, alpha: float, q: float) -> float:
     if t == 0.0:
         return 0.0
     # log-space ratio: both arguments positive, safe for any size
-    ratio = math.exp(log_gamma(q + 1.0) - log_gamma(q + 1.0 + alpha))
-    return ratio * t**(q + alpha)
+    log_ratio = log_gamma(q + 1.0) - log_gamma(q + 1.0 + alpha)
+    ratio = math.exp(log_ratio)
+    if ratio >= 2.0**-1022:  # not subnormal
+        try:
+            value = ratio * t**(q + alpha)
+            if value < math.inf:
+                return value
+        except OverflowError:
+            pass
+    # a subnormal ratio or t^(q+alpha) past binary64: one exponential, which
+    # raises OverflowError only when the result is past binary64 too
+    return math.exp(log_ratio + (q + alpha) * math.log(t))
 
 
 def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
@@ -96,8 +110,11 @@ def exact_derivative_exp(t: float, alpha: float) -> float:
         raise DomainError(f"closed form covers alpha in (0, 1), got {alpha!r}")
     if not t > 0.0:
         raise DomainError(f"requires t > 0, got {t!r}")
-    return (math.exp(t) * lower_incomplete_gamma(t, 1.0 - alpha)
-            + t**(-alpha)) / gamma(1.0 - alpha)
+    lower, scale = lower_incomplete_gamma(t, 1.0 - alpha), gamma(1.0 - alpha)
+    value = (math.exp(t) * lower + t**(-alpha)) / scale
+    if value == math.inf:  # e^t gamma_lower past binary64, the result not
+        value = math.exp(t) * (lower / scale) + t**(-alpha) / scale
+    return value
 
 
 def exact_derivative_sin(t: float, omega0: float, alpha: float) -> float:

@@ -18,8 +18,12 @@ upper tail otherwise (the Numerical Recipes ``gser``/``gcf`` split).  The
 series is within ``eps max(m, 16)`` relative, m its term count.  The
 continued fraction subtracts a tail of up to half of ``Gamma(a)`` (near
 t = a + 1), both exponentials some ``|lgamma(a)| eps`` off (``Gamma(a)`` is
-``exp(lgamma(a))``): measured at most ``(16 + 3.3 |lgamma(a)|) eps``, 1944
-eps at (t, a) = (148.20, 147.19).
+``exp(lgamma(a))``): measured at most ``(16 + 3.4 |lgamma(a)|) eps`` against
+40-digit mpmath, 1944 eps at (t, a) = (148.20, 147.19).
+
+A result past binary64 raises ``OverflowError`` on either branch, as
+``gamma`` does past 170; the continued fraction raises it also once
+``Gamma(a)`` itself overflows (a > 171.62).
 """
 
 from __future__ import annotations
@@ -101,9 +105,18 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
         )
     if t == 0.0:
         return 0.0
-    if t < alpha + 1.0:
-        return _lower_gamma_series(t, alpha)
-    return _complete_minus_upper_tail(t, alpha)
+    try:
+        if t < alpha + 1.0:
+            value = _lower_gamma_series(t, alpha)
+        else:
+            value = _complete_minus_upper_tail(t, alpha)
+        if value < math.inf:
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(
+        f"lower_incomplete_gamma({t:g}, {alpha:g}) exceeds the binary64 range"
+    )
 
 
 def _lower_gamma_series(t: float, alpha: float) -> float:

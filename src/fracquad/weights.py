@@ -112,16 +112,6 @@ class WeightSequence:
     def __len__(self) -> int:
         return len(self.values)
 
-    def truncated(self, length: int) -> "WeightSequence":
-        """First ``length`` weights as a new sequence (short-memory use)."""
-        if not 1 <= length <= len(self.values):
-            raise DomainError(
-                f"truncation length must be in [1, {len(self.values)}], "
-                f"got {length}"
-            )
-        return WeightSequence(self.scheme, self.alpha, self.dt,
-                              self.values[:length])
-
 
 #: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
 #: call is faster (measured crossover 0.9-1.2e3 samples).

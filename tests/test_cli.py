@@ -321,6 +321,8 @@ def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
     (("--model", "lorentz", "--modes", "1:1:0.1", "--n-density", "-1"),
      "density"),
     (("--model", "debye", "--tau", "inf"), "finite"),
+    (("--model", "debye", "--a-coupling", "-1"), "coupling"),
+    (("--model", "debye", "--a-coupling", "0"), "coupling"),
     (("--verify-ratio", "--omega0", "inf"), "probe frequency"),
     (("--time-domain", "--omega0", "inf"), "probe frequency"),
     (("--time-domain", "--eps0", "nan"), "eps0"),

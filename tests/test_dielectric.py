@@ -115,6 +115,17 @@ def test_lorentz_nonpositive_constants_rejected(constant):
         LorentzEnsemble(((1.0, 1.0, 0.1),), **constant)
 
 
+@pytest.mark.parametrize("constant", [
+    {"a_coupling": -1.0}, {"a_coupling": 0.0}, {"n_density": 0.0},
+    {"eps0": -1.0},
+], ids=repr)
+def test_debye_nonpositive_constants_rejected(constant):
+    # the static value N a tau / eps0: a zero coupling gives chi = 0, a
+    # negative one flips the sign of chi (an active medium)
+    with pytest.raises(DomainError, match="positive"):
+        DebyeModel(**constant)
+
+
 def test_fractional_polarization_constant_field():
     grid = UniformGrid(0.01, 501)
     field = SampledSignal(grid, np.full(grid.n, 2.0))

@@ -125,6 +125,15 @@ def test_lower_incomplete_gamma_limits():
     assert lower_incomplete_gamma(120.0, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("t,alpha", [(170.0, 175.0), (10.0, 1000.0),
+                                     (300.0, 172.0)])
+def test_lower_incomplete_gamma_overflow_raises(t, alpha):
+    # past binary64 on the series branch with t^(alpha/2) finite, on the
+    # series branch with it infinite, and on the continued-fraction branch
+    with pytest.raises(OverflowError, match="binary64"):
+        lower_incomplete_gamma(t, alpha)
+
+
 def test_lower_incomplete_gamma_monotone_and_bounded():
     # probes cover both branches: the series below alpha + 1 and the
     # continued fraction above

@@ -26,19 +26,23 @@ def _cases(draw):
     return draw(st.floats(a + 1.0, a + 600.0)), a
 
 
+def branch_tol(t, a):
+    """Relative tolerance of ``lower_incomplete_gamma(t, a)`` in eps."""
+    # series: eps max(m, 16), m its term count; continued fraction: Gamma(a)
+    # = exp(lgamma(a)) minus a tail of up to half of it, both some
+    # |lgamma(a)| eps off, measured up to (16 + 3.4 |lgamma(a)|) eps
+    if t < a + 1.0:
+        return max(_series_terms(t, a), 16)
+    return 16 + 5.0 * abs(math.lgamma(a))
+
+
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(case=_cases())
 def test_lower_incomplete_gamma_within_branch_bound(case):
-    # series: eps max(m, 16), m its term count; continued fraction: Gamma(a)
-    # = exp(lgamma(a)) minus a tail of up to half of it, both some
-    # |lgamma(a)| eps off, measured up to (16 + 3.3 |lgamma(a)|) eps
     t, a = case
     with mpmath.workdps(40):
         want = mpmath.gammainc(a, 0, t)
     hypothesis.assume(2.0**-1022 < want < 2.0**1023)
-    if t < a + 1.0:
-        tol = max(_series_terms(t, a), 16)
-    else:
-        tol = 16 + 5.0 * abs(math.lgamma(a))
+    tol = branch_tol(t, a)
     got = lower_incomplete_gamma(t, a)
     assert abs(mpmath.mpf(got) - want) <= tol * _EPS * want, (t, a)

@@ -239,14 +239,3 @@ def test_starting_weight_domains():
         starting_weight_table(w, 4)
     with pytest.raises(DomainError):
         starting_weight_table(nc0_weights(0.5, 0.1, 16), 1)
-
-
-def test_truncated_view():
-    w = gl_weights(0.5, 1.0, 10)
-    t = w.truncated(4)
-    assert len(t) == 4
-    assert np.array_equal(t.values, w.values[:4])
-    with pytest.raises(DomainError):
-        w.truncated(0)
-    with pytest.raises(DomainError):
-        w.truncated(11)
