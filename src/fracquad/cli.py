@@ -374,23 +374,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="generate the derivative-role weights")
     coeffs.set_defaults(func=_cmd_coeffs)
 
-    def add_signal_args(p, with_oracle=True):
-        p.add_argument("--f", required=True,
-                       help="const | exp | sin | csv:<path>")
+    def add_rule_args(p, with_oracle_tol=True):
         p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--n", type=int)
         p.add_argument("--c", type=float, default=1.0,
                        help="constant value for --f const")
         p.add_argument("--omega0", type=float, default=1.0,
                        help="angular frequency for --f sin")
         p.add_argument("--method", choices=["direct", "fft"],
                        default="direct", help=_METHOD_HELP)
+        if with_oracle_tol:
+            p.add_argument("--oracle-tol", dest="oracle_tol", type=float,
+                           default=1e-10)
+
+    def add_signal_args(p, with_oracle=True):
+        p.add_argument("--f", required=True,
+                       help="const | exp | sin | csv:<path>")
+        p.add_argument("--t-end", dest="t_end", type=float)
+        p.add_argument("--n", type=int)
+        add_rule_args(p, with_oracle)
         if with_oracle:
             p.add_argument("--oracle", action="store_true",
                            help="add brute-force reference columns")
-            p.add_argument("--oracle-tol", dest="oracle_tol", type=float,
-                           default=1e-10)
 
     integrate = sub.add_parser("integrate",
                                help="fractional integral of a signal")
@@ -416,17 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
     conv = sub.add_parser("convergence",
                           help="error sweep over grid refinements")
     conv.add_argument("--f", choices=["const", "exp", "sin"], required=True)
-    conv.add_argument("--alpha", type=float, required=True)
+    add_rule_args(conv)
     conv.add_argument("--t-probe", dest="t_probe", type=float, required=True)
     conv.add_argument("--n-list", dest="n_list", required=True,
                       type=lambda s: [int(x) for x in s.split(",")])
     conv.add_argument("--scheme", choices=_RULE_CHOICES, default="gl")
-    conv.add_argument("--method", choices=["direct", "fft"],
-                      default="direct", help=_METHOD_HELP)
-    conv.add_argument("--c", type=float, default=1.0)
-    conv.add_argument("--omega0", type=float, default=1.0)
-    conv.add_argument("--oracle-tol", dest="oracle_tol", type=float,
-                      default=1e-10)
     conv.set_defaults(func=_cmd_convergence)
 
     diel = sub.add_parser("dielectric",

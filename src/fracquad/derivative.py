@@ -16,7 +16,6 @@ Riemann-Liouville derivative at first order in the grid step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,47 +23,26 @@ from .exceptions import DomainError
 from .quadrature import SampledSignal, frac_integral
 from .weights import Scheme, gl_weights, weights_for_scheme
 
-__all__ = ["DerivativeOrder", "gl_derivative", "rl_derivative_via_integral"]
-
-
-@dataclass(frozen=True)
-class DerivativeOrder:
-    """Positive derivative order with its integer envelope ``n_int``."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(
-                f"derivative order must be positive, got {self.alpha!r}"
-            )
-
-    @property
-    def n_int(self) -> int:
-        return math.floor(self.alpha) + 1
-
-
-def _as_order(order: "DerivativeOrder | float") -> DerivativeOrder:
-    if isinstance(order, DerivativeOrder):
-        return order
-    return DerivativeOrder(float(order))
+__all__ = ["gl_derivative", "rl_derivative_via_integral"]
 
 
 def gl_derivative(
     signal: SampledSignal,
-    order: "DerivativeOrder | float",
+    order: float,
     direction: str = "backward",
     method: str = "direct",
 ) -> SampledSignal:
     """Truncated Grunwald-Letnikov derivative of a sampled signal.
 
-    ``backward`` differences look into the past (``f_(m-k)``), the usual
-    causal choice; ``forward`` uses ``f_(m+k)`` and is provided for
-    completeness.
+    ``order`` must be positive.  ``backward`` differences look into the
+    past (``f_(m-k)``), the usual causal choice; ``forward`` uses
+    ``f_(m+k)`` and is provided for completeness.
     """
-    order = _as_order(order)
+    alpha = float(order)
+    if not alpha > 0.0:
+        raise DomainError(f"derivative order must be positive, got {alpha!r}")
     grid = signal.grid
-    weights = gl_weights(-order.alpha, grid.dt, grid.n)
+    weights = gl_weights(-alpha, grid.dt, grid.n)
     if direction == "backward":
         return frac_integral(signal, weights, method=method)
     if direction == "forward":
@@ -78,35 +56,35 @@ def gl_derivative(
 
 def rl_derivative_via_integral(
     signal: SampledSignal,
-    order: "DerivativeOrder | float",
+    order: float,
     scheme: Scheme = Scheme.GL,
     method: str = "direct",
 ) -> SampledSignal:
     """Riemann-Liouville derivative by the composition ``D^n I^(n-alpha)``.
 
     Accepts ``0 <= alpha < 2``.  Order zero is the identity by definition
-    (the neutral element); otherwise ``n_int`` is 1 or 2 and the signal
-    must hold at least ``n_int + 2`` samples for the boundary stencils.
+    (the neutral element); otherwise ``n = floor(alpha) + 1`` is 1 or 2 and
+    the signal must hold at least ``n + 2`` samples for the boundary
+    stencils.
     """
-    if not isinstance(order, DerivativeOrder):
-        alpha = float(order)
-        if alpha == 0.0:
-            return signal.replace_values(signal.values.copy())
-        order = DerivativeOrder(alpha)
-    if not order.alpha < 2.0:
+    alpha = float(order)
+    if alpha == 0.0:
+        return signal.replace_values(signal.values.copy())
+    if not alpha > 0.0:
+        raise DomainError(f"derivative order must be positive, got {alpha!r}")
+    if not alpha < 2.0:
         raise DomainError(
-            f"composition route covers orders below 2, got {order.alpha!r}"
-        )
-    n_int = order.n_int
-    if signal.grid.n < n_int + 2:
+            f"composition route covers orders below 2, got {alpha!r}")
+    n = math.floor(alpha) + 1
+    if signal.grid.n < n + 2:
         raise DomainError(
-            f"need at least {n_int + 2} samples for an order-{n_int} "
+            f"need at least {n + 2} samples for an order-{n} "
             "difference with one-sided ends"
         )
-    weights = weights_for_scheme(
-        scheme, n_int - order.alpha, signal.grid.dt, signal.grid.n)
+    weights = weights_for_scheme(scheme, n - alpha, signal.grid.dt,
+                                 signal.grid.n)
     smoothed = frac_integral(signal, weights, method=method).values
-    if n_int == 1:
+    if n == 1:
         deriv = np.gradient(smoothed, signal.grid.dt, edge_order=2)
     else:
         deriv = _second_difference(smoothed, signal.grid.dt)

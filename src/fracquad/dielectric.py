@@ -245,7 +245,6 @@ def verify_universal_ratio(
     dt: float = 5e-4,
     t_end: float = 20.0,
     scheme: Scheme = Scheme.GL,
-    method: str = "fft",
 ) -> RatioCheck:
     """Re-derive ``chi''/chi' = cot(n pi/2)`` from a time-domain run.
 
@@ -253,9 +252,8 @@ def verify_universal_ratio(
     window ``[0.75 t_end, t_end]`` with a sinusoid plus a slow algebraic
     drift term (the start-up transient decays like ``t^(alpha-1)``), and
     converts the fitted phase lag into a loss tangent ``tan(phase_lag)``.
-
-    The ``fft`` path (the sum-of-exponentials engine) is the default here:
-    runs are long, and both paths are within N eps of the exact sums.
+    The polarization runs through the ``fft`` path (the
+    sum-of-exponentials engine), since runs are long.
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha
@@ -265,7 +263,7 @@ def verify_universal_ratio(
     grid = _time_grid(dt, t_end)
     t = grid.nodes
     field = SampledSignal(grid, np.sin(omega0 * t))
-    pol = fractional_polarization(field, alpha, scheme=scheme, method=method)
+    pol = fractional_polarization(field, alpha, scheme=scheme, method="fft")
 
     window = t >= 0.75 * t_end
     tw = t[window]

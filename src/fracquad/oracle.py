@@ -97,7 +97,23 @@ def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
     denom_arg = q + 1.0 - alpha
     if denom_arg <= 0.0 and denom_arg == math.floor(denom_arg):
         return 0.0
-    return gamma(q + 1.0) / gamma(denom_arg) * t**(q - alpha)
+    numer, denom = gamma(q + 1.0), gamma(denom_arg)
+    if t == 0.0:
+        return numer / denom * t**(q - alpha)
+    try:
+        power = t**(q - alpha)
+        value = numer / denom * power
+        if (min(abs(denom), power, abs(value)) >= 2.0**-1022
+                and abs(value) < math.inf):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    # Gamma(q + 1 - alpha), t^(q - alpha) or the result outside the normal
+    # range: one exponential, which raises OverflowError only when the
+    # result is past binary64 too (Gamma keeps its sign when it underflows)
+    return math.copysign(math.exp(
+        math.lgamma(q + 1.0) - math.lgamma(denom_arg)
+        + (q - alpha) * math.log(t)), denom)
 
 
 def exact_derivative_exp(t: float, alpha: float) -> float:
@@ -111,9 +127,14 @@ def exact_derivative_exp(t: float, alpha: float) -> float:
     if not t > 0.0:
         raise DomainError(f"requires t > 0, got {t!r}")
     lower, scale = lower_incomplete_gamma(t, 1.0 - alpha), gamma(1.0 - alpha)
-    value = (math.exp(t) * lower + t**(-alpha)) / scale
+    try:
+        power = t**(-alpha)
+    except OverflowError:  # a subnormal t, t^-alpha / Gamma(1-alpha) not
+        return math.exp(t) * (lower / scale) + math.exp(
+            -alpha * math.log(t) - math.log(scale))
+    value = (math.exp(t) * lower + power) / scale
     if value == math.inf:  # e^t gamma_lower past binary64, the result not
-        value = math.exp(t) * (lower / scale) + t**(-alpha) / scale
+        value = math.exp(t) * (lower / scale) + power / scale
     return value
 
 

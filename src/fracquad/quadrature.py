@@ -37,9 +37,11 @@ from .exceptions import (
 )
 from .special import gamma
 from .weights import (
+    _BLOCK,
     WeightSequence,
     _Terms,
     _causal_conv_modes,
+    _engine_runs,
     _far_field,
     _validate_common,
     nc0_weights,
@@ -193,7 +195,12 @@ def frac_trapezoid(signal: SampledSignal, alpha: float,
         raise DomainError("trapezoid rule needs at least 2 samples")
     f = signal.values
     averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
-    c = nc0_weights(alpha, signal.grid.dt, n)
+    dt = signal.grid.dt
+    _validate_common(alpha, dt, n, "NC0 rule")
+    # the engine, when it runs, reads only the first 2 L weights
+    c = nc0_weights(alpha, dt, min(n, 2 * _BLOCK) if method == "fft" else n)
+    if len(c) < n and not _engine_runs(n, c.far_field):
+        c = nc0_weights(alpha, dt, n)
     return signal.replace_values(_evaluate(averages, c.values, c.far_field,
                                            method, shift=True))
 

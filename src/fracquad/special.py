@@ -22,8 +22,9 @@ t = a + 1), both exponentials some ``|lgamma(a)| eps`` off (``Gamma(a)`` is
 40-digit mpmath, 1944 eps at (t, a) = (148.20, 147.19).
 
 A result past binary64 raises ``OverflowError`` on either branch, as
-``gamma`` does past 170; the continued fraction raises it also once
-``Gamma(a)`` itself overflows (a > 171.62).
+``gamma`` does past 170.  Once ``Gamma(a)`` itself overflows (a > 171.62),
+the continued fraction takes ``Gamma(a) - tail`` as one exponential,
+``exp(lgamma(a) + log1p(-tail / Gamma(a)))``.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ def _complete_minus_upper_tail(t: float, alpha: float) -> float:
             f"alpha={alpha:g}"
         )
     log_tail = -t + alpha * math.log(t) + math.log(h)
-    complete = math.exp(math.lgamma(alpha))
+    log_complete = math.lgamma(alpha)
+    try:
+        complete = math.exp(log_complete)
+    except OverflowError:  # Gamma(alpha) past binary64, the difference not
+        return math.exp(log_complete
+                        + math.log1p(-math.exp(log_tail - log_complete)))
     return complete - math.exp(log_tail)
 

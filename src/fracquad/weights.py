@@ -156,6 +156,12 @@ def _causal_conv_direct(f: np.ndarray, c: np.ndarray) -> np.ndarray:
 _MODES_CUTOFF = 3000
 
 
+def _engine_runs(n: int, far: _Terms | None) -> bool:
+    """Whether :func:`_causal_conv_modes` takes ``n`` samples through the
+    far field ``far``, reading only the first 2 L weights, not direct."""
+    return far is not None and 2 * n >= _MODES_CUTOFF * (1 + len(far))
+
+
 def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
                        far: _Terms | None) -> np.ndarray:
     """:func:`_causal_conv_direct` in O(N (L + M)) for a far field (None runs
@@ -163,7 +169,7 @@ def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
     block lags 0 and 1 of :func:`_blocked` exact, older rows F through M
     same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
     by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b."""
-    if far is None or 2 * len(f) < _MODES_CUTOFF * (1 + len(far)):
+    if not _engine_runs(len(f), far):
         return _causal_conv_direct(f, values)
     u, c, alternating = _modes(far, len(f))
     f_rows, out = _blocked(f, values, 2)

@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracquad.derivative import (
-    DerivativeOrder,
-    gl_derivative,
-    rl_derivative_via_integral,
-)
+from fracquad.derivative import gl_derivative, rl_derivative_via_integral
 from fracquad.exceptions import DomainError
 from fracquad.oracle import (
     exact_derivative_monomial,
@@ -23,13 +19,16 @@ def make_signal(fn, t_end, n):
 
 
 def test_order_envelope():
-    assert DerivativeOrder(0.5).n_int == 1
-    assert DerivativeOrder(1.0).n_int == 2
-    assert DerivativeOrder(1.5).n_int == 2
-    with pytest.raises(DomainError):
-        DerivativeOrder(0.0)
-    with pytest.raises(DomainError):
-        DerivativeOrder(-0.5)
+    # the composition route differentiates floor(alpha) + 1 times: once
+    # below order 1 (3 samples suffice), twice from order 1 on (4 needed);
+    # it refuses negative orders
+    for order, n_min in ((0.5, 3), (1.0, 4), (1.5, 4)):
+        rl_derivative_via_integral(make_signal(np.exp, 1.0, n_min), order)
+        with pytest.raises(DomainError, match=f"at least {n_min} samples"):
+            rl_derivative_via_integral(make_signal(np.exp, 1.0, n_min - 1),
+                                       order)
+    with pytest.raises(DomainError, match="must be positive"):
+        rl_derivative_via_integral(make_signal(np.exp, 1.0, 16), -0.5)
 
 
 def test_gl_derivative_of_constant():
@@ -119,7 +118,7 @@ def test_rl_route_close_to_classical_limit():
 def test_rl_route_zero_order_is_identity():
     sig = make_signal(np.exp, 1.0, 64)
     out = rl_derivative_via_integral(sig, 0.0).values
-    assert np.max(np.abs(out - sig.values)) < 1e-12
+    assert np.array_equal(out, sig.values)
 
 
 def test_rl_route_second_envelope():
@@ -183,7 +182,7 @@ def test_inverse_property():
 
 def test_gl_derivative_rejects_nonpositive_order():
     sig = make_signal(np.exp, 1.0, 16)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be positive"):
         gl_derivative(sig, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be positive"):
         gl_derivative(sig, -0.5)

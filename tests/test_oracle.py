@@ -70,6 +70,33 @@ def test_exact_derivative_exp_consistency():
         assert exact_derivative_exp(t, alpha) == pytest.approx(want, rel=1e-8)
 
 
+def test_exact_derivative_exp_at_subnormal_t():
+    # t^-alpha overflows at t = 1e-310, its quotient by Gamma(1 - alpha)
+    # does not; within |alpha ln t| eps of 40-digit mpmath, the exponent's
+    # rounding
+    t, alpha = 1e-310, 0.9999
+    with mpmath.workdps(40):
+        x, a = mpmath.mpf(t), mpmath.mpf(alpha)
+        want = ((mpmath.exp(x) * mpmath.gammainc(1 - a, 0, x) + x**-a)
+                / mpmath.gamma(1 - a))
+    tol = (8 + abs(alpha * math.log(t))) * np.finfo(float).eps
+    assert abs(exact_derivative_exp(t, alpha) - want) <= tol * want
+
+
+def test_exact_derivative_monomial_outside_gamma_range():
+    # Gamma(q + 1 - alpha) underflows to -0.0 at -180.5 and the ratio
+    # Gamma(1) / Gamma(-180.5) passes binary64; the result does neither
+    t, alpha, q = 321.5, 181.5, 0.0
+    with mpmath.workdps(40):
+        want = mpmath.rgamma(q + 1 - alpha) * mpmath.mpf(t)**(q - alpha)
+    got = exact_derivative_monomial(t, alpha, q)
+    # one exponential of lgamma(-180.5) and (q - alpha) ln t, each some
+    # eps times its size off, the power's twice (q - alpha is exact here)
+    tol = 16 + abs(math.lgamma(q + 1 - alpha)) + 2 * abs((q - alpha)
+                                                        * math.log(t))
+    assert abs(got - want) <= tol * np.finfo(float).eps * abs(want)
+
+
 def test_brute_force_constant():
     got = brute_force_rl(lambda u: 1.0, 4.0, 0.5, 1e-11)
     assert got == pytest.approx(exact_integral_const(4.0, 0.5), rel=1e-11)

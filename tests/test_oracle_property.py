@@ -1,5 +1,6 @@
 """Property test: the closed-form oracles against 40-digit mpmath across
-their domains, for results in the normal binary64 range."""
+their domains, for results in the normal binary64 range, and the adaptive
+brute-force oracle against its stated error bound."""
 
 import math
 
@@ -9,8 +10,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from fracquad.exceptions import ToleranceNotMet  # noqa: E402
 from fracquad.oracle import (  # noqa: E402
+    brute_force_rl,
     exact_derivative_exp,
+    exact_derivative_monomial,
     exact_integral_exp,
     exact_integral_monomial,
 )
@@ -86,3 +90,94 @@ def test_exact_integral_monomial_against_mpmath(case):
                + abs((q + alpha) * math.log(t)))
         got = exact_integral_monomial(t, alpha, q)
         assert abs(got - want) <= tol * _EPS * want
+
+
+@st.composite
+def _derivative_monomial_cases(draw):
+    # as for the integral: half the t anywhere in [2^-1022, 1e300], half
+    # placed so that the result is near e^y, y in [-700, 700]
+    alpha = draw(st.floats(0.0, 400.0, exclude_min=True))
+    q = draw(st.floats(0.0, 169.0))
+    x = q + 1.0 - alpha
+    if draw(st.booleans()) or q == alpha or x == math.floor(x) <= 0.0:
+        return draw(st.floats(2.0**-1022, 1e300)), alpha, q
+    log_ratio = math.lgamma(q + 1.0) - math.lgamma(x)
+    log_t = (draw(st.floats(-700.0, 700.0)) - log_ratio) / (q - alpha)
+    return math.exp(min(max(log_t, -700.0), 690.0)), alpha, q
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(case=_derivative_monomial_cases())
+def test_exact_derivative_monomial_against_mpmath(case):
+    # Gamma(q+1) / Gamma(x) t^(q-alpha), x = q + 1 - alpha, for q up to
+    # gamma's limit: the rounding of x, up to (q + 1 + alpha) eps absolute,
+    # moves Gamma(x) by |psi(x)| times that, and math.gamma and math.lgamma
+    # are within about 2 (1 + |psi(x)| max(|x|, 1)) eps themselves, so
+    # 4 |psi(x)| (q + 1 + alpha) and 3 |psi(q + 1)| (q + 1); the rounding of
+    # q - alpha moves t^(q-alpha) by |(q - alpha) ln t| eps; where the
+    # direct form leaves the normal range, one exponential of the lgammas
+    # and (q - alpha) ln t adds their sizes; 16 eps for the rest (measured
+    # at most 0.3 of this over 40 000 points)
+    t, alpha, q = case
+    with mpmath.workdps(40):
+        a, p = mpmath.mpf(alpha), mpmath.mpf(q)
+        x = p + 1 - a  # exact, where q + 1.0 - alpha may round onto a pole
+        want = mpmath.gamma(p + 1) * mpmath.rgamma(x) * (
+            mpmath.mpf(t)**(p - a))
+        if want == 0:  # x a pole of Gamma: the derivative of a polynomial
+            assert exact_derivative_monomial(t, alpha, q) == 0.0
+            return
+        hypothesis.assume(_NORMAL[0] < abs(want) < _NORMAL[1])
+        got = exact_derivative_monomial(t, alpha, q)
+        psi_n = abs(mpmath.digamma(p + 1)) * (q + 1.0)
+        psi_x = abs(mpmath.digamma(x)) * (q + 1.0 + alpha)
+        tol = (16 + 3 * psi_n + 4 * psi_x + abs(math.lgamma(q + 1.0))
+               + abs(mpmath.loggamma(x).real)
+               + 2 * abs((q - alpha) * math.log(t)))
+        assert abs(got - want) <= tol * _EPS * abs(want), (t, alpha, q)
+
+
+def _brute_force_reference(t, alpha, lam):
+    """``I^alpha[e^(lam u)](t) = t^alpha 1F1(1; alpha + 1; lam t) /
+    Gamma(alpha + 1)`` at 40 digits, ``lam`` real or imaginary."""
+    with mpmath.workdps(40):
+        x, a = mpmath.mpf(t), mpmath.mpf(alpha)
+        return x**a * mpmath.hyp1f1(1, a + 1, lam * x) / mpmath.gamma(a + 1)
+
+
+def _check_brute_force(f, t, alpha, tol, want, f_max):
+    # the docstring's bound: tol bounds the error of the substituted
+    # integral, so the result is within tol / (alpha Gamma(alpha)), plus
+    # rounding, here 16 eps times I^alpha[|f|](t) <= max|f| t^alpha /
+    # Gamma(alpha + 1) (measured at most 0.12 of the whole over 800 draws);
+    # a refinement that cannot meet tol raises ToleranceNotMet instead
+    try:
+        got = brute_force_rl(f, t, alpha, tol)
+    except ToleranceNotMet:
+        return
+    bound = (tol / (alpha * math.gamma(alpha))
+             + 16 * _EPS * f_max * t**alpha / math.gamma(alpha + 1.0))
+    assert abs(got - want) <= bound, (t, alpha, tol)
+
+
+_BRUTE_ORDERS = st.floats(2.0**-1022, 1.0, exclude_max=True)
+_BRUTE_TOLS = st.floats(1e-12, 1e-6)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(t=st.floats(0.0, 10.0, exclude_min=True),
+                  alpha=_BRUTE_ORDERS, omega=st.floats(-10.0, 10.0),
+                  tol=_BRUTE_TOLS)
+def test_brute_force_rl_sin_within_bound(t, alpha, omega, tol):
+    want = mpmath.im(_brute_force_reference(t, alpha, 1j * omega))
+    _check_brute_force(lambda u: math.sin(omega * u), t, alpha, tol, want,
+                       1.0)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(t=st.floats(0.0, 4.0, exclude_min=True),
+                  alpha=_BRUTE_ORDERS, tol=_BRUTE_TOLS)
+def test_brute_force_rl_exp_within_bound(t, alpha, tol):
+    # t <= 4 keeps e^t eps under the smallest tol
+    want = _brute_force_reference(t, alpha, 1)
+    _check_brute_force(math.exp, t, alpha, tol, want, math.exp(t))

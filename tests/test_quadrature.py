@@ -25,6 +25,7 @@ from fracquad.oracle import (
 from fracquad.quadrature import (
     SampledSignal,
     UniformGrid,
+    _evaluate,
     _newton_cotes_rule,
     _panel_moments,
     frac_integral,
@@ -807,6 +808,21 @@ def test_fft_without_far_field_equals_direct_bitwise():
     assert hand == w and not hand.far_field
     assert np.array_equal(frac_integral(sig, hand, method="fft").values,
                           frac_integral(sig, hand).values)
+
+
+@pytest.mark.parametrize("n", [_MODES_CUTOFF - 1, _MODES_CUTOFF, 1 << 16])
+def test_fft_trapezoid_equals_full_length_weights_bitwise(n):
+    # under fft the rule builds only the 2 L NC0 weights the engine reads
+    # (from _MODES_CUTOFF samples on), and all n below; either way its output
+    # is that of the full-length sequence with its far field
+    grid = UniformGrid(10.0 / n, n)
+    f = np.random.default_rng(n).standard_normal(n)
+    averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
+    for alpha in (0.5, 0.3):
+        c = nc0_weights(alpha, grid.dt, n)
+        want = _evaluate(averages, c.values, c.far_field, "fft", shift=True)
+        out = frac_trapezoid(SampledSignal(grid, f), alpha, method="fft")
+        assert np.array_equal(out.values, want)
 
 
 def test_two_term_rules_run_the_engine_from_their_own_cutoff():

@@ -134,6 +134,18 @@ def test_lower_incomplete_gamma_overflow_raises(t, alpha):
         lower_incomplete_gamma(t, alpha)
 
 
+def test_lower_incomplete_gamma_past_gamma_overflow():
+    # Gamma(171.7) is past binary64 but gamma_lower(172.7, 171.7) is not:
+    # the continued fraction's bound, (16 + 5 |lgamma(a)|) eps
+    t, a = 172.7, 171.7
+    want = mpmath.gammainc(a, 0, t)
+    tol = (16 + 5.0 * math.lgamma(a)) * np.finfo(float).eps
+    assert abs(lower_incomplete_gamma(t, a) - want) <= tol * want
+    # gamma_lower(180, 179) = 3.36e324 is past it too
+    with pytest.raises(OverflowError, match="binary64"):
+        lower_incomplete_gamma(180.0, 179.0)
+
+
 def test_lower_incomplete_gamma_monotone_and_bounded():
     # probes cover both branches: the series below alpha + 1 and the
     # continued fraction above
