@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -314,7 +314,6 @@ def flmm_weights(
     alpha: float,
     dt: float,
     n: int,
-    scheme: Scheme = Scheme.FLMM_TRAP,
 ) -> WeightSequence:
     """Fractional linear multistep weights for a method ``(rho, sigma)``.
 
@@ -324,10 +323,7 @@ def flmm_weights(
         Coefficients of ``sigma`` and ``rho`` in ascending powers of zeta.
         The weight generating function is ``w(z) = sigma(1/z) / rho(1/z)``
         and the returned values are ``dt^alpha`` times the series
-        coefficients of ``w(z)^alpha``.
-    scheme : Scheme
-        Tag recorded on the result; controls the convolution convention
-        used downstream.
+        coefficients of ``w(z)^alpha``, tagged ``Scheme.FLMM_TRAP``.
 
     The power series of the rational part comes from long division; the
     ``alpha``-th power from the J.C.P. Miller recurrence
@@ -357,7 +353,7 @@ def flmm_weights(
         )
     v = _series_power(u, alpha, n)
     v *= float(dt)**alpha
-    return WeightSequence(scheme, alpha, dt, v)
+    return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, v)
 
 
 def _reversed_padded(coeffs: Sequence[float], length: int) -> np.ndarray:
@@ -409,7 +405,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
     ``Scheme.FLMM_TRAP``: ``w_k = (dt/2)^alpha sum_j C(alpha, j) b_(k-j)``,
     ``b`` the GL series at dt = 1, within ``(k+1) eps`` times the same sum
     of absolute terms, by the engine over ``b``'s far field from
-    ``_MODES_CUTOFF`` weights (7-8 ms at N = 2^16 on one core); a negative
+    ``_MODES_CUTOFF`` weights (9 ms at N = 2^16 on one thread); a negative
     ``alpha`` gives the derivative-role weights.
     """
     if scheme is Scheme.GL:
@@ -431,8 +427,8 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
 
 def euler_flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     """Implicit-Euler multistep weights; coincide with :func:`gl_weights`."""
-    return flmm_weights(_EULER_SIGMA, _EULER_RHO, alpha, dt, n,
-                        scheme=Scheme.GL)
+    return replace(flmm_weights(_EULER_SIGMA, _EULER_RHO, alpha, dt, n),
+                   scheme=Scheme.GL)
 
 
 def _monomial_defects(weights: WeightSequence, s: int,

@@ -163,7 +163,7 @@ def test_convergence_gl_exp(capsys):
     assert math.isnan(cols["empirical_order"][0])
 
 
-def test_convergence_nc2_order(capsys):
+def test_convergence_nc3_order(capsys):
     code, out, _ = run_cli(capsys, "convergence", "--f", "exp", "--alpha",
                            "0.5", "--t-probe", "1",
                            "--n-list", "65,129,257", "--scheme", "nc3")

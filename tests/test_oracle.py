@@ -56,6 +56,8 @@ def test_exact_derivative_monomial_poles_vanish():
     # classical derivative of lower-degree monomials is zero
     assert exact_derivative_monomial(2.0, 1.0, 0.0) == 0.0
     assert exact_derivative_monomial(2.0, 2.0, 1.0) == 0.0
+    # 4 - 1e300 is a pole though its rounding is off by more than 1
+    assert exact_derivative_monomial(2.0, 1e300, 3.0) == 0.0
     assert exact_derivative_monomial(4.0, 0.5, 0.0) == pytest.approx(
         4.0**-0.5 / math.gamma(0.5), rel=1e-13)
 
@@ -90,11 +92,120 @@ def test_exact_derivative_monomial_outside_gamma_range():
     with mpmath.workdps(40):
         want = mpmath.rgamma(q + 1 - alpha) * mpmath.mpf(t)**(q - alpha)
     got = exact_derivative_monomial(t, alpha, q)
-    # one exponential of lgamma(-180.5) and (q - alpha) ln t, each some
-    # eps times its size off, the power's twice (q - alpha is exact here)
+    # one exponential of the reflected lgamma(181.5) and (q - alpha) ln t,
+    # each some eps times its size off, the power's twice (q - alpha is
+    # exact here)
     tol = 16 + abs(math.lgamma(q + 1 - alpha)) + 2 * abs((q - alpha)
                                                         * math.log(t))
     assert abs(got - want) <= tol * np.finfo(float).eps * abs(want)
+
+
+def test_exact_derivative_monomial_rounds_its_gamma_argument_once():
+    # q + 1.0 - alpha rounds onto the pole at 0; q + 1 - alpha = 1e-16 does
+    # not, and Gamma(1 + 1e-16) / Gamma(1e-16) = 1e-16 to 2 ulp
+    got = exact_derivative_monomial(1.0, 1.0, 1e-16)
+    assert abs(got - 1e-16) <= 2 * math.ulp(1e-16)
+
+
+@pytest.mark.parametrize("t, alpha, q", [
+    (1.0, 2.0, 4.896981282947043e-170),
+    (3.0, 2.0, 1e-17),
+    (1.5, 4.0, 1e-20),
+    (1.0, 2.0, 1e-16),
+])
+def test_exact_derivative_monomial_rounded_onto_a_pole(t, alpha, q):
+    # q + 1 - alpha = -n + q rounds onto, or an ulp off, the pole -n, but is
+    # not one: the value is about (-1)^n n! q t^(q-alpha), not 0 and not
+    # the value at the rounded argument, within (16 + |ln value|) eps of
+    # 40-digit mpmath
+    with mpmath.workdps(40):
+        p, a = mpmath.mpf(q), mpmath.mpf(alpha)
+        x = mpmath.fsub(mpmath.fadd(p, 1, exact=True), a, exact=True)
+        want = mpmath.gamma(p + 1) * mpmath.rgamma(x) * mpmath.mpf(t)**(p - a)
+    got = exact_derivative_monomial(t, alpha, q)
+    tol = 16 + abs(math.log(abs(want)))
+    assert abs(got - want) <= tol * np.finfo(float).eps * abs(want)
+
+
+@pytest.mark.parametrize("oracle, t, alpha, q", [
+    ("derivative", 2.0, 0.5, 200.0),   # Gamma(201) past gamma's limit
+    ("const", 3.0, 200.0, 0.0),        # Gamma(201) in the denominator
+])
+def test_power_rule_past_gamma_limit(oracle, t, alpha, q):
+    # one exponential of the lgammas and the power, each some eps times its
+    # size off, the power's twice: within that of 40-digit mpmath
+    nu = -alpha if oracle == "derivative" else alpha
+    with mpmath.workdps(40):
+        p, x = mpmath.mpf(q), mpmath.mpf(q) + 1 + nu
+        want = mpmath.gamma(p + 1) * mpmath.rgamma(x) * mpmath.mpf(t)**(p + nu)
+    if oracle == "derivative":
+        got = exact_derivative_monomial(t, alpha, q)
+    else:
+        got = exact_integral_const(t, alpha)
+    tol = (16 + abs(math.lgamma(q + 1.0)) + abs(math.lgamma(q + 1.0 + nu))
+           + 2 * abs((q + nu) * math.log(t)))
+    assert abs(got - want) <= tol * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("alpha", [1e-310, 2.0**-1074])
+@pytest.mark.parametrize("t", [2.0**-1074, 1.0, 709.0])
+def test_exact_integral_exp_at_subnormal_order(t, alpha):
+    # Gamma(alpha) is past binary64; e^t P(alpha, t) rounds to e^t
+    with mpmath.workdps(40):
+        x = mpmath.mpf(t)
+        want = mpmath.exp(x) * mpmath.gammainc(alpha, 0, x, regularized=True)
+    got = exact_integral_exp(t, alpha)
+    assert abs(got - want) <= 2 * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("alpha", [1e-310, 2.0**-1074])
+def test_brute_force_at_subnormal_order(alpha):
+    # alpha Gamma(alpha) = Gamma(alpha + 1) = 1 where Gamma(alpha) is past
+    # binary64: the result is about f(t), within the docstring's bound, or
+    # the refinement reports that it cannot meet tol
+    t, tol = 1.0, 1e-10
+    with mpmath.workdps(40):
+        x = mpmath.mpf(t)
+        want = mpmath.exp(x) * mpmath.gammainc(alpha, 0, x, regularized=True)
+    try:
+        got = brute_force_rl(math.exp, t, alpha, tol)
+    except ToleranceNotMet:
+        return
+    assert abs(got - want) <= tol + 16 * np.finfo(float).eps * math.exp(t)
+
+
+@pytest.mark.parametrize("t, alpha, q", [
+    (-1.0, 0.3, 0.5), (math.inf, 200.0, 200.0), (math.nan, 0.3, 0.5),
+    (1.0, math.inf, math.inf), (1.0, math.inf, 0.5)])
+def test_exact_derivative_monomial_domain_errors(t, alpha, q):
+    # a typed error, not a complex power at t < 0, a NaN from 0 * ln t at
+    # t = inf, inf - inf in the gamma argument or floor(-inf)
+    with pytest.raises(DomainError):
+        exact_derivative_monomial(t, alpha, q)
+
+
+@pytest.mark.parametrize("alpha, q", [(math.inf, 0.5), (0.5, math.inf)])
+def test_exact_integral_monomial_domain_errors(alpha, q):
+    with pytest.raises(DomainError, match="finite"):
+        exact_integral_monomial(1.0, alpha, q)
+
+
+@pytest.mark.parametrize("alpha, q, want", [
+    (2.0, 1.0, 0.0),               # a pole: D^2 of u
+    (0.5, 0.5, math.gamma(1.5)),   # q = alpha: Gamma(alpha + 1)
+    (0.5, 200.0, 0.0),             # q > alpha, Gamma(q + 1) past binary64
+    (169.5, 200.0, 0.0),           # the gamma ratio past binary64 too
+])
+def test_exact_derivative_monomial_at_zero(alpha, q, want):
+    assert exact_derivative_monomial(0.0, alpha, q) == want
+
+
+@pytest.mark.parametrize("alpha, q", [(1.0, 1e-16), (0.5, 0.25)])
+def test_exact_derivative_monomial_unbounded_at_zero(alpha, q):
+    # q < alpha off a pole: t^(q-alpha) is unbounded at 0, even where
+    # q + 1 - alpha rounds onto the pole 0
+    with pytest.raises(ZeroDivisionError):
+        exact_derivative_monomial(0.0, alpha, q)
 
 
 def test_brute_force_constant():

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -382,32 +383,57 @@ def test_blocked_gl_forward_mirrors_backward_bitwise():
 _POOL_PROBE = """
 import hashlib, io, contextlib
 import numpy as np
-from fracquad import SampledSignal, UniformGrid, frac_integral, gl_weights
+from fracquad import (SampledSignal, UniformGrid, frac_integral,
+                      frac_trapezoid, gl_weights)
 from fracquad.cli import main
+from test_quadrature import _engine_case, _run
+def digest(data):
+    print(hashlib.sha256(data).hexdigest())
 grid = UniformGrid(0.01, 5000)
 sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
-out = frac_integral(sig, gl_weights(0.5, grid.dt, 5000)).values
+digest(frac_integral(sig, gl_weights(0.5, grid.dt, 5000)).values.tobytes())
 csv = io.StringIO()
 with contextlib.redirect_stdout(csv):
     code = main(["integrate", "--f", "exp", "--alpha", "0.5", "--t-end", "10",
                  "--n", "5000"])
 assert code == 0 and len(csv.getvalue().splitlines()) == 5001
-print(hashlib.sha256(out.tobytes()).hexdigest())
-print(hashlib.sha256(csv.getvalue().encode()).hexdigest())
+digest(csv.getvalue().encode())
+n = (1 << 14) + 1
+grid = UniformGrid(40.0 / (n - 1), n)
+sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
+digest(frac_trapezoid(sig, 0.5, method="fft").values.tobytes())
+for family, alpha in [("gl", 0.5), ("gl", -0.9), ("flmm", 0.5), ("nc2", 0.5),
+                      ("nc3", 0.5), ("gl", -1.5)]:
+    digest(_run(_engine_case(family, alpha, grid.dt, n), sig, "fft").tobytes())
 """
 
 
-def test_direct_path_independent_of_blas_pool_size():
+@functools.cache
+def _pool_digests():
+    # one interpreter per thread count prints the probe's 9 hashes
     src = str(Path(fracquad.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, str(Path(__file__).parent), env.get("PYTHONPATH", "")])
         run = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env,
                              capture_output=True, text=True, check=True)
-        digests.append(run.stdout)
-    assert digests[0] == digests[1]
+        digests.append(run.stdout.split())
+    return digests
+
+
+def test_direct_path_independent_of_blas_pool_size():
+    # the direct path and the CLI on it: the probe's first two hashes
+    one, two = _pool_digests()
+    assert len(one) == 9 and one[:2] == two[:2]
+
+
+def test_fft_engine_independent_of_blas_pool_size():
+    # the trapezoid and the engine over every family: the other seven
+    one, two = _pool_digests()
+    assert len(one) == 9 and one[2:] == two[2:]
 
 
 def test_newton_cotes_beats_nc0_on_exp():
@@ -759,38 +785,6 @@ def test_fft_gl_forward_mirrors_backward_bitwise():
     bwd = gl_derivative(SampledSignal(grid, values[::-1]), 0.5,
                         method="fft").values
     assert np.array_equal(fwd, bwd[::-1])
-
-
-_ENGINE_POOL_PROBE = """
-import hashlib
-import numpy as np
-from fracquad import SampledSignal, UniformGrid, frac_trapezoid
-from test_quadrature import _engine_case, _run
-n = (1 << 14) + 1
-grid = UniformGrid(40.0 / (n - 1), n)
-sig = SampledSignal(grid, np.sin(grid.nodes) + np.exp(-grid.nodes))
-outs = [frac_trapezoid(sig, 0.5, method="fft").values]
-for family, alpha in [("gl", 0.5), ("gl", -0.9), ("flmm", 0.5), ("nc2", 0.5),
-                      ("nc3", 0.5), ("gl", -1.5)]:
-    outs.append(_run(_engine_case(family, alpha, grid.dt, n), sig, "fft"))
-for out in outs:
-    print(hashlib.sha256(out.tobytes()).hexdigest())
-"""
-
-
-def test_fft_engine_independent_of_blas_pool_size():
-    src = str(Path(fracquad.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, str(Path(__file__).parent), env.get("PYTHONPATH", "")])
-        run = subprocess.run([sys.executable, "-c", _ENGINE_POOL_PROBE],
-                             env=env, capture_output=True, text=True,
-                             check=True)
-        digests.append(run.stdout)
-    assert len(digests[0].split()) == 7 and digests[0] == digests[1]
 
 
 def test_fft_without_far_field_equals_direct_bitwise():
