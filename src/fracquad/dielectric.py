@@ -253,7 +253,9 @@ def verify_universal_ratio(
     drift term (the start-up transient decays like ``t^(alpha-1)``), and
     converts the fitted phase lag into a loss tangent ``tan(phase_lag)``.
     The polarization runs through the ``fft`` path (the
-    sum-of-exponentials engine), since runs are long.
+    sum-of-exponentials engine), since runs are long.  ``FitError`` if the
+    fit has rank below 4, condition above 1e8 (half the digits gone; about
+    108 on the default grid) or a residual above 5 % of the amplitude.
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha
@@ -274,7 +276,13 @@ def verify_universal_ratio(
         np.ones_like(tw),
         tw**(alpha - 1.0),
     ])
-    coef, *_ = np.linalg.lstsq(design, pw, rcond=None)
+    coef, _, rank, sv = np.linalg.lstsq(design, pw, rcond=None)
+    if rank < design.shape[1] or sv[0] > 1e8 * sv[-1]:
+        raise FitError(
+            f"sinusoid fit over {len(tw)} samples is rank-deficient or "
+            f"ill-conditioned (rank {rank}, singular values {sv[0]:.3g} "
+            f"down to {sv[-1]:.3g})"
+        )
     a_sin, b_cos = coef[0], coef[1]
     amplitude = math.hypot(a_sin, b_cos)
     residual = pw - design @ coef

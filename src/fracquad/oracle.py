@@ -12,7 +12,10 @@ Riemann-Liouville rule, :func:`_power_rule`, with ``nu = -alpha`` for
 
 On over 11 800 points per oracle, 40-digit mpmath puts the power rule within
 0.89 and the exp oracles within 0.39 of their property tests' bounds, the
-constant within 4 eps and derivatives next to a pole within 870 eps.
+constant within 4 eps and derivatives next to a pole within 870 eps.  Past
+alpha = 171.62, where Gamma(alpha) leaves binary64, the exp integral is
+``e^(t + log P(alpha, t))``, measured within 0.95 of ``(|t| + |alpha ln t|
++ |lgamma(alpha)| + 16) eps`` on 5699 points, 1.1e4 eps at worst.
 :func:`brute_force_rl` is a deliberately slow adaptive quadrature of the
 defining integral with the endpoint singularity removed exactly by the
 substitution ``u = (t - t')^alpha``.  Everything here is kept independent
@@ -26,7 +29,7 @@ import math
 from typing import Callable
 
 from .exceptions import DomainError, ToleranceNotMet
-from .special import gamma, lower_incomplete_gamma
+from .special import _log_p, gamma, lower_incomplete_gamma
 
 __all__ = [
     "exact_integral_const",
@@ -87,10 +90,10 @@ def exact_integral_exp(t: float, alpha: float) -> float:
         return 0.0
     try:
         lower, scale = lower_incomplete_gamma(t, alpha), gamma(alpha)
-    except OverflowError:
-        if not alpha < _NORMAL_MIN:
-            raise
-        return math.exp(t)  # e^t P(alpha, t), 1 - P <= alpha E_1(t) < 2e-305
+    except OverflowError:  # Gamma(alpha) or gamma_lower past binary64
+        if alpha < _NORMAL_MIN:  # 1 - P <= alpha E_1(t) < 2e-305
+            return math.exp(t)
+        return math.exp(t + _log_p(t, alpha))
     value = math.exp(t) * lower / scale
     if value == math.inf:  # e^t gamma_lower past binary64, the result not
         value = math.exp(t) * (lower / scale)

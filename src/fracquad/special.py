@@ -1,11 +1,11 @@
-"""Scalar special-function kernel: gamma, log-gamma and the lower
-incomplete gamma function.
+"""Scalar special-function kernel: gamma and the lower incomplete gamma
+function.
 
 Evaluation policy
 -----------------
-``gamma`` refuses arguments above 170: past that point ``exp(log_gamma(x))``
-is the only safe route, and forcing callers through it keeps factorial-style
-overflow out of every downstream recurrence.  For the same reason the weight
+``gamma`` is ``math.gamma`` behind a finiteness and a pole check, so it
+raises ``OverflowError`` only where Gamma(x) leaves binary64 (x > 171.62).
+Past that, callers stay in log space with ``math.lgamma``; the weight
 generators form binomial coefficients as cumulative products, never from
 gamma ratios.
 
@@ -21,10 +21,10 @@ t = a + 1), both exponentials some ``|lgamma(a)| eps`` off (``Gamma(a)`` is
 ``exp(lgamma(a))``): measured at most ``(16 + 3.4 |lgamma(a)|) eps`` against
 40-digit mpmath, 1944 eps at (t, a) = (148.20, 147.19).
 
-A result past binary64 raises ``OverflowError`` on either branch, as
-``gamma`` does past 170.  Once ``Gamma(a)`` itself overflows (a > 171.62),
-the continued fraction takes ``Gamma(a) - tail`` as one exponential,
-``exp(lgamma(a) + log1p(-tail / Gamma(a)))``.
+A result past binary64 raises ``OverflowError`` on either branch.  Once
+``Gamma(a)`` itself overflows (a > 171.62), the continued fraction returns
+``exp(lgamma(a) + log P(a, t))``, P = gamma_lower / Gamma, through
+:func:`_log_p`: the one log-space route, from either branch's sum or tail.
 """
 
 from __future__ import annotations
@@ -33,20 +33,10 @@ import math
 
 from .exceptions import DomainError, PoleError
 
-__all__ = [
-    "GAMMA_OVERFLOW_LIMIT",
-    "gamma",
-    "log_gamma",
-    "lower_incomplete_gamma",
-]
-
-#: Largest argument ``gamma`` accepts.  Documented factorial overflow sets in
-#: just past this point (171! is not representable in binary64).
-GAMMA_OVERFLOW_LIMIT = 170.0
+__all__ = ["gamma", "lower_incomplete_gamma"]
 
 _SERIES_STOP_RATIO = 1e-16
-_MAX_SERIES_TERMS = 10_000
-_MAX_CF_ITERATIONS = 10_000
+_MAX_TERMS = 10_000  # of the series or the continued fraction
 
 
 def gamma(x: float) -> float:
@@ -57,33 +47,14 @@ def gamma(x: float) -> float:
     PoleError
         If ``x`` is zero or a negative integer.
     OverflowError
-        If ``x`` exceeds :data:`GAMMA_OVERFLOW_LIMIT`; use
-        :func:`log_gamma` instead for large arguments.
+        If Gamma(x) is past binary64 (x > 171.62, or a subnormal x).
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma requires a finite argument, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x:g}")
-    if x > GAMMA_OVERFLOW_LIMIT:
-        raise OverflowError(
-            f"gamma({x:g}) would overflow; evaluate log_gamma and keep "
-            "results in log space for arguments above "
-            f"{GAMMA_OVERFLOW_LIMIT:g}"
-        )
     return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``.
-
-    Finite for every representable positive ``x``; this is the overflow-safe
-    companion to :func:`gamma`.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def lower_incomplete_gamma(t: float, alpha: float) -> float:
@@ -96,8 +67,7 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
     alpha : float
         Exponent parameter, ``alpha > 0``.
     """
-    t = float(t)
-    alpha = float(alpha)
+    t, alpha = float(t), float(alpha)
     if not t >= 0.0:
         raise DomainError(f"lower_incomplete_gamma requires t >= 0, got {t!r}")
     if not alpha > 0.0:
@@ -108,9 +78,18 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
         return 0.0
     try:
         if t < alpha + 1.0:
-            value = _lower_gamma_series(t, alpha)
+            total = _series_sum(t, alpha)
+            try:
+                value = total * t**alpha * math.exp(-t)
+            except OverflowError:  # in t^alpha: e^-t between its halves
+                half = t**(0.5 * alpha)
+                value = total * half * math.exp(-t) * half
         else:
-            value = _complete_minus_upper_tail(t, alpha)
+            try:
+                complete = math.exp(math.lgamma(alpha))
+            except OverflowError:  # Gamma(alpha) past binary64, the result not
+                return math.exp(math.lgamma(alpha) + _log_p(t, alpha))
+            value = complete - math.exp(_log_upper_tail(t, alpha))
         if value < math.inf:
             return value
     except OverflowError:
@@ -120,35 +99,39 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
     )
 
 
-def _lower_gamma_series(t: float, alpha: float) -> float:
-    # term_n = t^n / (alpha (alpha+1) ... (alpha+n)), all positive and
-    # decreasing once alpha + n > t (from the first term here, t < alpha + 1)
+def _log_p(t: float, alpha: float) -> float:
+    """``log P(alpha, t)``, P = gamma_lower(t, alpha) / Gamma(alpha), for
+    t > 0 and a normal alpha, from the branch's sum or upper tail."""
+    if t < alpha + 1.0:
+        return (math.log(_series_sum(t, alpha)) + alpha * math.log(t) - t
+                - math.lgamma(alpha))
+    return math.log1p(-math.exp(_log_upper_tail(t, alpha)
+                                - math.lgamma(alpha)))
+
+
+def _series_sum(t: float, alpha: float) -> float:
+    """``sum_n t^n / (alpha (alpha+1) ... (alpha+n))``, for t < alpha + 1."""
+    # all terms positive and decreasing once alpha + n > t (from the first)
     term = 1.0 / alpha
     total = term
-    for n in range(1, _MAX_SERIES_TERMS):
+    for n in range(1, _MAX_TERMS):
         term *= t / (alpha + n)
         total += term
         if term <= _SERIES_STOP_RATIO * total:
-            try:
-                return total * t**alpha * math.exp(-t)
-            except OverflowError:  # in t^alpha: e^-t between its halves
-                half = t**(0.5 * alpha)
-                return total * half * math.exp(-t) * half
+            return total
     raise DomainError(
         f"incomplete gamma series failed to converge for t={t:g}, "
         f"alpha={alpha:g}"
     )
 
 
-def _complete_minus_upper_tail(t: float, alpha: float) -> float:
-    # Upper tail Gamma(alpha, t) by modified Lentz continued fraction
-    # (Numerical Recipes gcf); returns Gamma(alpha) - tail.
+def _log_upper_tail(t: float, alpha: float) -> float:
+    """``log Gamma(alpha, t)`` by the modified Lentz continued fraction
+    (Numerical Recipes gcf), for t >= alpha + 1."""
     tiny = 1e-300
-    b = t + 1.0 - alpha
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_CF_ITERATIONS):
+    b, c = t + 1.0 - alpha, 1.0 / tiny
+    d = h = 1.0 / b
+    for i in range(1, _MAX_TERMS):
         an = -i * (i - alpha)
         b += 2.0
         d = an * d + b
@@ -161,18 +144,8 @@ def _complete_minus_upper_tail(t: float, alpha: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            break
-    else:
-        raise DomainError(
-            f"incomplete gamma continued fraction failed for t={t:g}, "
-            f"alpha={alpha:g}"
-        )
-    log_tail = -t + alpha * math.log(t) + math.log(h)
-    log_complete = math.lgamma(alpha)
-    try:
-        complete = math.exp(log_complete)
-    except OverflowError:  # Gamma(alpha) past binary64, the difference not
-        return math.exp(log_complete
-                        + math.log1p(-math.exp(log_tail - log_complete)))
-    return complete - math.exp(log_tail)
-
+            return -t + alpha * math.log(t) + math.log(h)
+    raise DomainError(
+        f"incomplete gamma continued fraction failed for t={t:g}, "
+        f"alpha={alpha:g}"
+    )

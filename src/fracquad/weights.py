@@ -44,7 +44,7 @@ from .exceptions import (
     DomainError,
     SingularSystemError,
 )
-from .special import GAMMA_OVERFLOW_LIMIT, gamma
+from .special import gamma
 
 __all__ = [
     "Scheme",
@@ -106,6 +106,9 @@ class WeightSequence:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError(f"weights of order {self.alpha!r} leave the "
+                              f"binary64 range on {len(values)} nodes")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -255,7 +258,7 @@ def _validate_common(alpha: float, dt: float, n: int,
     """Typed errors before any numpy work.  A panel rule of ``n`` nodes
     forms ``Gamma(alpha + 1)``, ``1 / alpha`` and powers up to
     ``(2 n max(dt, 1))^alpha``, all kept below e^700 (e^9 short of the
-    binary64 limit)."""
+    binary64 limit; ``lgamma(alpha + 1) < 700`` puts alpha below 168.72)."""
     if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
     if not 0.0 < dt < math.inf:
@@ -263,8 +266,9 @@ def _validate_common(alpha: float, dt: float, n: int,
                           f"got {dt!r}")
     if n < 1:
         raise DomainError(f"weight count must be >= 1, got {n}")
-    if panel_rule and not (0.0 < alpha <= GAMMA_OVERFLOW_LIMIT - 1.0 and max(
-            -math.log(alpha), alpha * math.log(2.0 * n * max(dt, 1.0))) < 700):
+    if panel_rule and not (alpha > 0.0 and max(
+            -math.log(alpha), alpha * math.log(2.0 * n * max(dt, 1.0))) < 700
+            and math.lgamma(alpha + 1.0) < 700):
         raise DomainError(f"{panel_rule} needs alpha > 0 and finite weights "
                           f"on {n} nodes, got alpha={alpha!r}")
 
@@ -282,8 +286,10 @@ def gl_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     if alpha == 0.0:
         raise DomainError("order 0 has no weight rule; it is the identity")
     k = np.arange(1.0, n)
-    values = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k]) * dt**alpha
-    far = _far_field((_gl_g, alpha, dt**alpha, False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.float64(dt)**alpha
+        values = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k]) * scale
+    far = _far_field((_gl_g, alpha, scale, False))
     return WeightSequence(Scheme.GL, alpha, dt, values, far)
 
 
@@ -351,8 +357,8 @@ def flmm_weights(
             "w(z) has no constant term (explicit method); fractional "
             "multistep rules must be implicit"
         )
-    v = _series_power(u, alpha, n)
-    v *= float(dt)**alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _series_power(u, alpha, n) * np.float64(dt)**alpha
     return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, v)
 
 
@@ -416,11 +422,14 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         _validate_common(alpha, dt, n)
         b = gl_weights(alpha, 1.0, n)  # also rejects order 0
         alpha, k = b.alpha, np.arange(1.0, n)
-        a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
-        values = _causal_conv_modes(a, b.values, b.far_field) * (dt / 2)**alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
+            values = (_causal_conv_modes(a, b.values, b.far_field)
+                      * np.float64(dt / 2)**alpha)
+            scale = np.float64(dt)**alpha
         # the branch cuts z > 1 and z < -1 (the alternating term)
-        far = _far_field((_flmm_g(0.5), alpha, dt**alpha, False),
-                         (_flmm_g(2.0), -alpha, dt**alpha, True))
+        far = _far_field((_flmm_g(0.5), alpha, scale, False),
+                         (_flmm_g(2.0), -alpha, scale, True))
         return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values, far)
     raise DomainError(f"unknown scheme {scheme!r}")
 
@@ -468,7 +477,9 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
     since the rule at node n sees no later samples.
     O((s+1)^2 N) for N weights: the defects are nested prefix sums, each
     within ``(q+1) (n+1) eps (|w| * x^q)_n`` (:func:`_monomial_defects`),
-    and the Vandermonde solves run elementwise over the nodes.
+    and the Vandermonde solves run elementwise over the nodes.  Orders whose
+    defect table leaves binary64 (``Gamma(s+1+alpha)``, ``(N-1)^(s+alpha)``
+    or ``dt^(+-alpha)`` past e^700) raise DomainError before any of that.
     """
     if weights.scheme.panel_based:
         raise DomainError(
@@ -477,9 +488,13 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
         )
     if not 0 <= s <= 3:
         raise DomainError(f"correction degree must be in 0..3, got {s}")
-    if not weights.alpha > 0:
+    alpha, n_max = weights.alpha, len(weights.values) - 1
+    if not alpha > 0:
         raise DomainError("starting corrections apply to integral orders")
-    n_max = len(weights.values) - 1
+    if not max(math.lgamma(s + 1.0 + alpha), (s + alpha) * math.log(
+            max(n_max, 1)), abs(alpha * math.log(weights.dt))) < 700:
+        raise DomainError(f"order {alpha!r} on {n_max + 1} nodes takes the "
+                          f"degree-{s} defect table past binary64")
     defects = _monomial_defects(weights, s, n_max)
     table = np.zeros((n_max + 1, s + 1))
     if n_max >= s:

@@ -303,14 +303,36 @@ def _run_cli_process(*argv):
                           env=env, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("scheme, alpha", [("nc3", "inf"), ("trap", "1e308")])
+@pytest.mark.parametrize("scheme, alpha", [("nc3", "inf"), ("trap", "1e308"),
+                                           ("gl", "1e300"),
+                                           ("flmm-trap", "1e300")])
 def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
-    # one typed error line on stderr, no numpy RuntimeWarning before it
+    # one typed error line on stderr, no numpy RuntimeWarning before it (the
+    # GL and FLMM_TRAP weights of order 1e300 leave binary64: not a
+    # complaint about the signal from their NaN result)
     run = _run_cli_process("integrate", "--f", "exp", "--alpha", alpha,
                            "--t-end", "1", "--n", "65", "--scheme", scheme)
     assert (run.returncode, run.stdout) == (1, "")
     assert len(run.stderr.splitlines()) == 1
     assert "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("scheme", ["gl", "flmm-trap"])
+def test_coeffs_overflowing_weights_exit_one(scheme):
+    # one typed error line on stderr, not NaN rows with exit 0
+    run = _run_cli_process("coeffs", "--scheme", scheme, "--alpha", "1e300",
+                           "--dt", "0.5", "--count", "4")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert len(run.stderr.splitlines()) == 1
+    assert "binary64" in run.stderr
+
+
+@pytest.mark.parametrize("n_exp, dt", [("0.5", "10"), ("0.3", "0.5")])
+def test_verify_ratio_degenerate_fit_exit_one(capsys, n_exp, dt):
+    code, out, err = run_cli(capsys, "dielectric", "--verify-ratio",
+                             "--n-exp", n_exp, "--dt", dt)
+    assert (code, out) == (1, "")
+    assert "ill-conditioned" in err
 
 
 @pytest.mark.parametrize("argv, word", [

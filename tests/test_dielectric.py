@@ -14,7 +14,7 @@ from fracquad.dielectric import (
     universal_susceptibility,
     verify_universal_ratio,
 )
-from fracquad.exceptions import DomainError, ResonanceWarning
+from fracquad.exceptions import DomainError, FitError, ResonanceWarning
 from fracquad.oracle import exact_integral_const
 from fracquad.quadrature import SampledSignal, UniformGrid
 
@@ -244,6 +244,14 @@ def test_non_finite_inputs_rejected(call, match):
 def test_verify_universal_ratio_rejects_bad_time_grid(grid):
     with pytest.raises(DomainError):
         verify_universal_ratio(0.5, **grid)
+
+
+@pytest.mark.parametrize("n_exp, dt", [(0.5, 10.0), (0.3, 0.5)])
+def test_verify_universal_ratio_rejects_degenerate_fit(n_exp, dt):
+    # one sample in the window [15, 20] (rank 1), or samples of sin(2 pi t)
+    # on its zeros (condition 2.6e14): no ratio from a fit like that
+    with pytest.raises(FitError, match="rank-deficient or ill-conditioned"):
+        verify_universal_ratio(n_exp, dt=dt, t_end=20.0)
 
 
 def test_verify_universal_ratio_bands():

@@ -18,7 +18,8 @@ from fracquad.oracle import (  # noqa: E402
     exact_integral_exp,
     exact_integral_monomial,
 )
-from test_special_property import branch_tol  # noqa: E402
+from test_oracle import exp_oracle_tol  # noqa: E402
+from test_special import branch_tol  # noqa: E402
 
 _EPS = 2.0**-52
 _NORMAL = (2.0**-1022, 2.0**1023)
@@ -28,16 +29,17 @@ _EXP_MAX = 709.78
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(t=st.floats(0.0, _EXP_MAX),
-                  alpha=st.floats(2.0**-1022, 170.0))
+                  alpha=st.floats(2.0**-1022, 1000.0))
 def test_exact_integral_exp_against_mpmath(t, alpha):
-    # e^t gamma_lower(t, alpha) / Gamma(alpha): the incomplete gamma's
-    # tolerance, plus 8 eps for e^t, Gamma(alpha), the product and the quotient
-    # (alpha normal: Gamma of a subnormal alpha is past binary64)
+    # e^t gamma_lower(t, alpha) / Gamma(alpha) up to alpha = 171.62, then
+    # e^(t + log P(alpha, t)) where Gamma(alpha) leaves binary64, each within
+    # exp_oracle_tol (alpha normal: Gamma of a subnormal alpha is past
+    # binary64)
     with mpmath.workdps(40):
-        x, a = mpmath.mpf(t), mpmath.mpf(alpha)
-        want = mpmath.exp(x) * mpmath.gammainc(a, 0, x) / mpmath.gamma(a)
+        x = mpmath.mpf(t)
+        want = mpmath.exp(x) * mpmath.gammainc(alpha, 0, x, regularized=True)
         hypothesis.assume(_NORMAL[0] < want < _NORMAL[1])
-        tol = branch_tol(t, alpha) + 8
+        tol = exp_oracle_tol(t, alpha)
         assert abs(exact_integral_exp(t, alpha) - want) <= tol * _EPS * want
 
 

@@ -1,8 +1,6 @@
 """Property test: ``lower_incomplete_gamma`` against 40-digit mpmath on
 both branches, for results in the normal binary64 range."""
 
-import math
-
 import mpmath
 import pytest
 
@@ -10,7 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from fracquad.special import lower_incomplete_gamma  # noqa: E402
-from test_special import _series_terms  # noqa: E402
+from test_special import branch_tol  # noqa: E402
 
 _EPS = 2.0**-52
 _ORDERS = st.floats(0.01, 171.0)
@@ -24,16 +22,6 @@ def _cases(draw):
         return draw(st.floats(0.0, a + 1.0, exclude_min=True,
                               exclude_max=True)), a
     return draw(st.floats(a + 1.0, a + 600.0)), a
-
-
-def branch_tol(t, a):
-    """Relative tolerance of ``lower_incomplete_gamma(t, a)`` in eps."""
-    # series: eps max(m, 16), m its term count; continued fraction: Gamma(a)
-    # = exp(lgamma(a)) minus a tail of up to half of it, both some
-    # |lgamma(a)| eps off, measured up to (16 + 3.4 |lgamma(a)|) eps
-    if t < a + 1.0:
-        return max(_series_terms(t, a), 16)
-    return 16 + 5.0 * abs(math.lgamma(a))
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

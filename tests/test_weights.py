@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -86,6 +87,20 @@ def test_non_finite_order_or_step_rejected(family, bad):
         _GENERATORS[family](bad, 0.1, 8)
     with pytest.raises(DomainError):
         _GENERATORS[family](0.5, bad, 8)
+
+
+@pytest.mark.parametrize("family, alpha, dt", [
+    ("gl", 1e300, 0.5), ("flmm-trap", 1e300, 0.5), ("gl", -200.0, 1e-3),
+    ("flmm", -200.0, 1e-3), ("flmm-trap", -200.0, 1e-3), ("gl", 2000.0, 1.5),
+])
+def test_overflowing_weights_rejected(family, alpha, dt):
+    # a typed error and no RuntimeWarning on the way, not NaN weights or a
+    # bare OverflowError: the cumulative product or dt^alpha (1e600 at
+    # -200, 1e-3) passes binary64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="binary64"):
+            _GENERATORS[family](alpha, dt, 10)
 
 
 def test_nc0_weights_examples():
@@ -222,6 +237,18 @@ def test_starting_weight_rectangle_defect():
     w = gl_weights(1.0, 0.5, 16)
     row = starting_weight_table(w, 0)[4]
     assert row[0] == pytest.approx(-0.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [160.0, 166.5, 168.0])
+def test_starting_weight_table_rejects_overflowing_defects(alpha):
+    # 99^(3 + alpha) or Gamma(4 + alpha) past e^700: a typed error before
+    # any numpy work, not warnings then a singular system or a bare
+    # OverflowError from gamma
+    w = gl_weights(alpha, 0.01, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="binary64"):
+            starting_weight_table(w, 3)
 
 
 def test_starting_weight_table_reduced_head():
