@@ -54,10 +54,6 @@ _RULE_CHOICES = [*_SCHEME_NAMES, "trap", "nc3"]
 _METHOD_HELP = "direct (default) or fft: a sum-of-exponentials engine, no FFT"
 
 
-class _CliDataError(Exception):
-    """Input-data problem; reported on stderr with exit code 1."""
-
-
 def _emit(header: Sequence[str], *columns) -> None:
     """Write the header and one row per entry of the equal-length columns
     in a single write, each cell the ``repr`` of a Python int or float."""
@@ -91,33 +87,33 @@ def _load_csv_signal(path: str) -> SampledSignal:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise _CliDataError(f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     if not lines or [c.strip() for c in lines[0].split(",")] != ["t", "f"]:
-        raise _CliDataError(f"{path}:1: expected header 't,f'")
+        raise DomainError(f"{path}:1: expected header 't,f'")
     ts, fs = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise _CliDataError(f"{path}:{lineno}: expected 2 fields")
+            raise DomainError(f"{path}:{lineno}: expected 2 fields")
         try:
             ts.append(float(parts[0]))
             fs.append(float(parts[1]))
         except ValueError as exc:
-            raise _CliDataError(f"{path}:{lineno}: {exc}") from exc
+            raise DomainError(f"{path}:{lineno}: {exc}") from exc
     if len(ts) < 2:
-        raise _CliDataError(f"{path}: need at least 2 samples")
+        raise DomainError(f"{path}: need at least 2 samples")
     t = np.array(ts)
     dt = t[1] - t[0]
     if not dt > 0:
-        raise _CliDataError(f"{path}: time column must increase")
+        raise DomainError(f"{path}: time column must increase")
     expected = t[0] + dt * np.arange(len(t))
     bad = np.nonzero(np.abs(t - expected) > 1e-9 * dt)[0]
     if t[0] != 0.0:
-        raise _CliDataError(f"{path}:2: grid must start at t = 0")
+        raise DomainError(f"{path}:2: grid must start at t = 0")
     if bad.size:
-        raise _CliDataError(
+        raise DomainError(
             f"{path}:{bad[0] + 2}: node off the uniform grid by more than "
             "1e-9*dt"
         )
@@ -135,7 +131,14 @@ def _resolve_integrand(spec: str, args) -> tuple[
         raise _UsageError("--n must be at least 2")
     grid = UniformGrid(args.t_end / (args.n - 1), args.n)
     fn = _builtin_integrand(spec, args)
-    return SampledSignal.sample(fn, grid), (lambda u: float(fn(u))), spec
+    return _sample(fn, grid), (lambda u: float(fn(u))), spec
+
+
+def _sample(fn: Callable, grid: UniformGrid) -> SampledSignal:
+    """``fn`` on the grid; an overflowing or NaN sample is reported once,
+    by the signal's finiteness check, not also by a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SampledSignal.sample(fn, grid)
 
 
 def _builtin_integrand(spec: str, args) -> Callable:
@@ -178,9 +181,7 @@ def _apply_rule(signal, rule, alpha, method, memory, starting):
         )
     if rule == "trap":
         return frac_trapezoid(signal, alpha, method=method)
-    if rule == "nc3":
-        return frac_newton_cotes(signal, alpha, 3, method=method)
-    raise _UsageError(f"unknown scheme {rule!r}")
+    return frac_newton_cotes(signal, alpha, 3, method=method)  # nc3
 
 
 # -------------------------------------------------------------- subcommands
@@ -225,7 +226,11 @@ def _cmd_differentiate(args) -> None:
 
 def _exact_derivative_column(kind, args, alpha, t):
     if kind == "const":
-        vals = [math.inf if x == 0.0 else
+        # the t -> 0+ limit of c t^(-alpha) / Gamma(1 - alpha): signed inf,
+        # or 0 where 1/Gamma(1 - alpha) or c is 0
+        r = args.c * oracle.exact_derivative_monomial(1.0, alpha, 0.0)
+        at_zero = math.copysign(math.inf, r) if r != 0.0 else 0.0
+        vals = [at_zero if x == 0.0 else
                 args.c * oracle.exact_derivative_monomial(x, alpha, 0.0)
                 for x in t]
         return np.array(vals)
@@ -252,7 +257,7 @@ def _cmd_convergence(args) -> None:
     prev_err = prev_n = None
     for n in n_list:
         grid = UniformGrid(args.t_probe / (n - 1), n)
-        signal = SampledSignal.sample(fn, grid)
+        signal = _sample(fn, grid)
         out = _apply_rule(signal, args.scheme, args.alpha, args.method,
                           None, None)
         err = abs(out.values[-1] - exact)
@@ -344,13 +349,11 @@ def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
                            a_coupling=args.a_coupling,
                            tau=args.tau, eps0=args.eps0)
         return np.asarray(debye_susceptibility(model, omegas))
-    if args.model == "lorentz":
-        if args.modes is None:
-            raise _UsageError("--model lorentz requires --modes")
-        model = LorentzEnsemble(modes=_parse_modes(args.modes),
-                                n_density=args.n_density, eps0=args.eps0)
-        return np.asarray(lorentz_susceptibility(model, omegas))
-    raise _UsageError(f"unknown model {args.model!r}")
+    if args.modes is None:  # lorentz
+        raise _UsageError("--model lorentz requires --modes")
+    model = LorentzEnsemble(modes=_parse_modes(args.modes),
+                            n_density=args.n_density, eps0=args.eps0)
+    return np.asarray(lorentz_susceptibility(model, omegas))
 
 
 # ------------------------------------------------------------------- parser
@@ -469,7 +472,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except (_CliDataError, FracquadError) as exc:
+    except FracquadError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:

@@ -256,6 +256,13 @@ def verify_universal_ratio(
     sum-of-exponentials engine), since runs are long.  ``FitError`` if the
     fit has rank below 4, condition above 1e8 (half the digits gone; about
     108 on the default grid) or a residual above 5 % of the amplitude.
+
+    ``numeric`` is the lag of the rule, not of the continuous model.  GL's
+    symbol ``dt^alpha (1 - e^(-i omega0 dt))^(-alpha)`` lags by ``alpha
+    (pi/2 - omega0 dt/2)``, alpha = 1 - n, so on a coarse grid ``numeric`` is the tan of
+    that: 0.4142 = tan(pi/8) at (n, dt) = (0.5, 0.25), not 1.
+    ``Scheme.FLMM_TRAP``'s symbol lags by exactly ``alpha pi/2``, so its
+    ratio is the analytic one at any dt.
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha

@@ -4,7 +4,6 @@ __all__ = [
     "FracquadError",
     "DomainError",
     "PoleError",
-    "DegenerateMethodError",
     "SingularSystemError",
     "GridMismatchError",
     "LengthError",
@@ -25,11 +24,6 @@ class DomainError(FracquadError, ValueError):
 
 class PoleError(DomainError):
     """The gamma function was evaluated at one of its poles (0, -1, -2, ...)."""
-
-
-class DegenerateMethodError(FracquadError, ValueError):
-    """The multistep generating functions describe an explicit method, whose
-    weight series has no constant term and cannot drive a fractional rule."""
 
 
 class SingularSystemError(FracquadError, ArithmeticError):

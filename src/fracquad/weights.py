@@ -19,9 +19,10 @@ produced:
     Fractional trapezoidal linear multistep weights, the series coefficients
     of ``((1 + z) / (2 (1 - z)))^alpha`` (:func:`weights_for_scheme`).
 
-The generic :func:`flmm_weights` raises an arbitrary implicit multistep
-method ``(rho, sigma)`` to a real power via series division followed by the
-J.C.P. Miller recurrence, an independent check on the closed forms.
+:func:`flmm_weights` (trapezoid) and :func:`euler_flmm_weights` (implicit
+Euler) raise the multistep series ``(1/2, 1, 1, ...)`` and ``(1, 1, 1, ...)``
+to a real power by the J.C.P. Miller recurrence, an independent check on the
+closed forms.
 Starting-weight corrections that restore polynomial exactness near the
 origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
@@ -34,23 +35,17 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateMethodError,
-    DomainError,
-    SingularSystemError,
-)
+from .exceptions import DomainError, SingularSystemError
 from .special import gamma
 
 __all__ = [
     "Scheme",
     "WeightSequence",
-    "TRAPEZOID_RHO",
-    "TRAPEZOID_SIGMA",
     "gl_weights",
     "nc0_weights",
     "flmm_weights",
@@ -71,15 +66,6 @@ class Scheme(enum.Enum):
         """True when the rule convolves panel values ``f_0 .. f_(n-1)``
         instead of node values ``f_0 .. f_n``."""
         return self is Scheme.NC0
-
-
-#: Generating polynomials (ascending powers of zeta) of the implicit
-#: trapezoidal method ``y_n = y_(n-1) + dt/2 (f_n + f_(n-1))``.
-TRAPEZOID_RHO: tuple[float, ...] = (-1.0, 1.0)
-TRAPEZOID_SIGMA: tuple[float, ...] = (0.5, 0.5)
-
-_EULER_RHO: tuple[float, ...] = (-1.0, 1.0)
-_EULER_SIGMA: tuple[float, ...] = (0.0, 1.0)
 
 
 #: A far field: the ``fft`` engine takes the weights past lag L as
@@ -314,74 +300,29 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     return WeightSequence(Scheme.NC0, alpha, dt, values, far)
 
 
-def flmm_weights(
-    numerator: Sequence[float],
-    denominator: Sequence[float],
-    alpha: float,
-    dt: float,
-    n: int,
-) -> WeightSequence:
-    """Fractional linear multistep weights for a method ``(rho, sigma)``.
+def flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
+    """Fractional trapezoidal multistep weights by the J.C.P. Miller
+    recurrence, the independent reference of ``Scheme.FLMM_TRAP``: ``dt^alpha``
+    times the series of ``u(z)^alpha``, ``u = (1 + z) / (2 (1 - z))``."""
+    return _miller_weights(Scheme.FLMM_TRAP, 0.5, alpha, dt, n)
 
-    Parameters
-    ----------
-    numerator, denominator : sequence of float
-        Coefficients of ``sigma`` and ``rho`` in ascending powers of zeta.
-        The weight generating function is ``w(z) = sigma(1/z) / rho(1/z)``
-        and the returned values are ``dt^alpha`` times the series
-        coefficients of ``w(z)^alpha``, tagged ``Scheme.FLMM_TRAP``.
 
-    The power series of the rational part comes from long division; the
-    ``alpha``-th power from the J.C.P. Miller recurrence
+def euler_flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
+    """Implicit-Euler multistep weights by the same recurrence, ``u = 1 / (1
+    - z)``; they coincide with :func:`gl_weights`."""
+    return _miller_weights(Scheme.GL, 1.0, alpha, dt, n)
 
-        v_0 = u_0^alpha,
-        v_m = (1 / (m u_0)) sum_{k=1..m} (k (alpha + 1) - m) u_k v_(m-k).
 
-    Raises
-    ------
-    DegenerateMethodError
-        If ``u_0 = 0``, i.e. the method is explicit and unusable here.
-    """
+def _miller_weights(scheme: Scheme, u0: float, alpha: float, dt: float,
+                    n: int) -> WeightSequence:
+    """``dt^alpha`` times the series of ``u(z)^alpha``, ``u = (u0, 1, 1,
+    ...)``, tagged ``scheme``."""
     _validate_common(alpha, dt, n)
     alpha = float(alpha)
-    longer = max(len(numerator), len(denominator))
-    num, den = (_reversed_padded(c, longer) for c in (numerator, denominator))
-    if den[0] == 0.0:
-        raise DegenerateMethodError(
-            "rho(1/z) normalization has no constant term; the method "
-            "cannot define a weight series"
-        )
-    u = _series_divide(num, den, n)
-    if u[0] == 0.0:
-        raise DegenerateMethodError(
-            "w(z) has no constant term (explicit method); fractional "
-            "multistep rules must be implicit"
-        )
+    u = np.r_[u0, np.ones(n - 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         v = _series_power(u, alpha, n) * np.float64(dt)**alpha
-    return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, v)
-
-
-def _reversed_padded(coeffs: Sequence[float], length: int) -> np.ndarray:
-    arr = np.asarray(list(coeffs), dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("generating polynomial needs >= 1 coefficient")
-    # zeta -> 1/z followed by clearing the same z powers from both
-    # polynomials == coefficient reversal, the shorter one zero-led
-    return np.pad(arr[::-1], (length - len(arr), 0))
-
-
-def _series_divide(num: np.ndarray, den: np.ndarray, n: int) -> np.ndarray:
-    """First ``n`` coefficients of the power series ``num(z) / den(z)``."""
-    out = np.zeros(n, dtype=np.longdouble)
-    d0 = np.longdouble(den[0])
-    for m in range(n):
-        acc = np.longdouble(num[m]) if m < len(num) else np.longdouble(0.0)
-        jmax = min(m, len(den) - 1)
-        for j in range(1, jmax + 1):
-            acc -= den[j] * out[m - j]
-        out[m] = acc / d0
-    return out
+    return WeightSequence(scheme, alpha, dt, v)
 
 
 def _series_power(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -432,12 +373,6 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
                          (_flmm_g(2.0), -alpha, scale, True))
         return WeightSequence(Scheme.FLMM_TRAP, alpha, dt, values, far)
     raise DomainError(f"unknown scheme {scheme!r}")
-
-
-def euler_flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
-    """Implicit-Euler multistep weights; coincide with :func:`gl_weights`."""
-    return replace(flmm_weights(_EULER_SIGMA, _EULER_RHO, alpha, dt, n),
-                   scheme=Scheme.GL)
 
 
 def _monomial_defects(weights: WeightSequence, s: int,

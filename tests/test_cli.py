@@ -10,7 +10,9 @@ import pytest
 
 import fracquad
 from fracquad.cli import main
-from fracquad.quadrature import SampledSignal, UniformGrid, frac_newton_cotes
+from fracquad.quadrature import (SampledSignal, UniformGrid, frac_newton_cotes,
+                                 frac_trapezoid, short_memory_integral)
+from fracquad.weights import gl_weights
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +296,68 @@ def test_runtime_errors_exit_one(capsys):
     assert "tile" in err
 
 
+_CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
+
+
+@pytest.mark.parametrize("argv, csv, code", [
+    (("integrate", "--f", "csv:{}"), "x,y\n0,1\n1,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,1,2\n1,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,abc\n1,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,1\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,1\n0,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n1,1\n2,2\n", 1),
+    (("integrate", "--f", "exp", "--t-end", "1", "--n", "1"), None, 2),
+    (("integrate", "--f", "bogus", "--t-end", "1", "--n", "5"), None, 2),
+    ((*_CONVERGE, "1", "--n-list", "4,8"), None, 2),
+    ((*_CONVERGE, "800", "--n-list", "3,5,9"), None, 1),  # OverflowError
+    (("dielectric", "--omega-range", "1:2"), None, 2),
+    (("dielectric", "--omega-range", "1:2:0"), None, 2),
+    (("dielectric", "--omega-range", "0:10:5", "--log-omega"), None, 2),
+    (("dielectric", "--model", "lorentz", "--modes", "1:1"), None, 2),
+    (("dielectric", "--model", "lorentz"), None, 2),
+    (("dielectric", "--time-domain", "--n-exp", "0.3,0.5"), None, 2),
+    (("dielectric", "--n-exp", "0.3,0.5"), None, 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
+def test_error_paths_one_stderr_line(capsys, tmp_path, argv, csv, code):
+    # usage errors exit 2, data and runtime errors 1; either way no stdout
+    # and one line on stderr
+    if csv is not None:
+        path = tmp_path / "in.csv"
+        path.write_text(csv)
+        argv = tuple(a.format(path) for a in argv)
+    if argv[0] in ("integrate", "differentiate"):
+        argv += ("--alpha", "0.5")
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, rule", [
+    (("--memory", "16"), lambda sig: short_memory_integral(
+        sig, gl_weights(0.5, sig.grid.dt, sig.grid.n), 16)),
+    (("--scheme", "trap"), lambda sig: frac_trapezoid(sig, 0.5)),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_integrate_memory_and_trap_rows(capsys, flags, rule):
+    # the approx column is the library rule's output bit for bit
+    code, out, _ = run_cli(capsys, "integrate", "--f", "exp", "--alpha",
+                           "0.5", "--t-end", "2", "--n", "65", *flags)
+    assert code == 0
+    approx = [row.split(",")[1] for row in out.splitlines()[1:]]
+    sig = SampledSignal.sample(np.exp, UniformGrid(2.0 / 64, 65))
+    assert approx == [repr(x) for x in rule(sig).values.tolist()]
+
+
+@pytest.mark.parametrize("alpha, cell", [("0.5", "inf"), ("1", "0.0"),
+                                         ("1.5", "-inf"), ("2", "0.0")])
+def test_differentiate_const_exact_at_zero(capsys, alpha, cell):
+    # the t -> 0+ limit of c t^-alpha / Gamma(1 - alpha): its sign follows
+    # Gamma(1 - alpha), and it is 0 where 1/Gamma(1 - alpha) is
+    code, out, _ = run_cli(capsys, "differentiate", "--f", "const",
+                           "--alpha", alpha, "--t-end", "1", "--n", "5")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == cell
+
+
 def _run_cli_process(*argv):
     # a fresh interpreter, so that a numpy warning reaches stderr
     env = dict(os.environ)
@@ -315,6 +379,21 @@ def test_panel_rule_overflowing_order_exit_one(scheme, alpha):
     assert (run.returncode, run.stdout) == (1, "")
     assert len(run.stderr.splitlines()) == 1
     assert "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--f", "exp", "--alpha", "0.5", "--t-end", "800"),
+    ("differentiate", "--f", "exp", "--alpha", "0.5", "--t-end", "1000"),
+    ("integrate", "--f", "sin", "--omega0", "inf", "--alpha", "0.5",
+     "--t-end", "1"),
+], ids=" ".join)
+def test_non_finite_samples_exit_one(argv):
+    # one typed error line from the signal's finiteness check, no numpy
+    # overflow or invalid-value RuntimeWarning before it
+    run = _run_cli_process(*argv, "--n", "65")
+    assert (run.returncode, run.stdout) == (1, "")
+    assert len(run.stderr.splitlines()) == 1
+    assert "finite" in run.stderr and "Warning" not in run.stderr
 
 
 @pytest.mark.parametrize("scheme", ["gl", "flmm-trap"])

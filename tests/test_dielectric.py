@@ -17,6 +17,7 @@ from fracquad.dielectric import (
 from fracquad.exceptions import DomainError, FitError, ResonanceWarning
 from fracquad.oracle import exact_integral_const
 from fracquad.quadrature import SampledSignal, UniformGrid
+from fracquad.weights import Scheme
 
 
 def test_universal_response_validation():
@@ -268,3 +269,13 @@ def test_verify_universal_ratio_bands():
     for n_exp, check in checks.items():
         quad = verify_universal_ratio(n_exp, omega0=8.0 * math.pi)
         assert abs(quad.numeric - check.numeric) / abs(check.numeric) < 0.02
+
+
+def test_verify_universal_ratio_is_the_rules_phase_on_a_coarse_grid():
+    # four samples per period: GL's symbol lags by alpha (pi/2 - omega0
+    # dt/2), so its ratio is tan(pi/8), not 1; FLMM_TRAP's lags by exactly
+    # alpha pi/2, so its ratio is the analytic one at any dt
+    gl = verify_universal_ratio(0.5, dt=0.25)
+    trap = verify_universal_ratio(0.5, dt=0.25, scheme=Scheme.FLMM_TRAP)
+    assert gl.numeric == pytest.approx(math.tan(math.pi / 8.0), rel=1e-6)
+    assert trap.numeric == pytest.approx(trap.analytic, rel=1e-4)

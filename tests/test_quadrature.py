@@ -40,8 +40,6 @@ from fracquad.weights import (
     _BLOCK,
     _LEAF_CUTOFF,
     _MODES_CUTOFF,
-    TRAPEZOID_RHO,
-    TRAPEZOID_SIGMA,
     Scheme,
     WeightSequence,
     _causal_conv_direct,
@@ -661,7 +659,7 @@ def _engine_case(family, alpha, dt, n):
     if family == "nc0":
         return nc0_weights(alpha, dt, n)
     if family == "miller":
-        return flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, alpha, dt, n)
+        return flmm_weights(alpha, dt, n)
     if family == "signs":
         signs = np.random.default_rng(n).standard_normal(n)
         return WeightSequence(Scheme.GL, alpha, dt, signs)

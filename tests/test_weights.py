@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,12 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracquad.exceptions import DegenerateMethodError, DomainError
+from fracquad.exceptions import DomainError
 from fracquad.special import gamma
 from fracquad.weights import (
     Scheme,
-    TRAPEZOID_RHO,
-    TRAPEZOID_SIGMA,
     euler_flmm_weights,
     flmm_weights,
     gl_weights,
@@ -72,8 +71,7 @@ def test_gl_weights_domain():
 _GENERATORS = {
     "gl": gl_weights,
     "nc0": nc0_weights,
-    "flmm": lambda a, dt, n: flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO,
-                                          a, dt, n),
+    "flmm": flmm_weights,
     "flmm-trap": lambda a, dt, n: weights_for_scheme(Scheme.FLMM_TRAP,
                                                      a, dt, n),
 }
@@ -137,8 +135,8 @@ def test_flmm_euler_reproduces_gl():
 
 
 def test_flmm_alpha_one_is_classical_series():
-    # power 1: the weights are the series of sigma/rho itself
-    w = flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, 1.0, 0.1, 6).values
+    # power 1: the weights are the series of (1 + z) / (2 (1 - z)) itself
+    w = flmm_weights(1.0, 0.1, 6).values
     assert w == pytest.approx([0.05, 0.1, 0.1, 0.1, 0.1, 0.1], rel=1e-14)
 
 
@@ -185,10 +183,10 @@ def test_flmm_trapezoid_closed_form_against_mpmath(alpha):
 def test_flmm_trapezoid_closed_form_matches_generic_multistep(alpha):
     n, dt = 2000, 0.02
     closed = weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n)
-    generic = flmm_weights(TRAPEZOID_SIGMA, TRAPEZOID_RHO, alpha, dt, n)
-    assert closed.scheme is Scheme.FLMM_TRAP
-    assert np.max(np.abs(closed.values - generic.values)
-                  / np.abs(generic.values)) < 1e-12
+    miller = flmm_weights(alpha, dt, n)
+    assert closed.scheme is miller.scheme is Scheme.FLMM_TRAP
+    assert np.max(np.abs(closed.values - miller.values)
+                  / np.abs(miller.values)) < 1e-12
 
 
 def test_flmm_trapezoid_domain():
@@ -200,10 +198,28 @@ def test_flmm_trapezoid_domain():
         pytest.approx([0.5])
 
 
-def test_flmm_rejects_explicit_method():
-    # explicit Euler: sigma has no leading-power term
-    with pytest.raises(DegenerateMethodError):
-        flmm_weights([1.0], [-1.0, 1.0], 0.5, 1.0, 8)
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="digest pins the x87 80-bit long double")
+def test_miller_references_digest():
+    # values, tags and errors of both Miller references, pinned bit for bit
+    # to those of the generic long-division front end they replaced
+    digest = hashlib.sha256()
+    cases = [(a, 0.1, n) for a in (0.1, 0.5, 0.9, -0.5, 1.7, 2.5)
+             for n in (1, 2, 50, 3000)]
+    cases += [(math.nan, 0.1, 8), (0.5, 0.0, 8), (0.5, math.inf, 8),
+              (0.5, 0.1, 0), (-200.0, 1e-3, 10), (0.0, 0.1, 8)]
+    for reference in (flmm_weights, euler_flmm_weights):
+        for alpha, dt, n in cases:
+            try:
+                w = reference(alpha, dt, n)
+            except DomainError as exc:
+                digest.update(repr(("DomainError", str(exc))).encode())
+                continue
+            digest.update(repr((w.scheme, w.alpha, w.dt, w.far_field))
+                          .encode())
+            digest.update(w.values.tobytes())
+    assert digest.hexdigest() == (
+        "91d9d1cf59be678a7adc5ecae96a74958a90fc18a7486f2a2eb02a2291d37706")
 
 
 def test_weight_values_read_only():
