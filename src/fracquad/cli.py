@@ -120,18 +120,17 @@ def _load_csv_signal(path: str) -> SampledSignal:
     return SampledSignal(UniformGrid(float(dt), len(t)), np.array(fs))
 
 
-def _resolve_integrand(spec: str, args) -> tuple[
-        SampledSignal, "Callable[[float], float] | None", str]:
-    """Returns (signal, callable or None, kind)."""
+def _resolve_integrand(spec: str, args) -> tuple[SampledSignal, tuple]:
+    """The signal and its ``_integrand`` triple, all None for ``csv:``."""
     if spec.startswith("csv:"):
-        return _load_csv_signal(spec[4:]), None, "csv"
+        return _load_csv_signal(spec[4:]), (None, None, None)
     if args.t_end is None or args.n is None:
         raise _UsageError("--t-end and --n are required unless --f csv: is used")
     if args.n < 2:
         raise _UsageError("--n must be at least 2")
     grid = UniformGrid(args.t_end / (args.n - 1), args.n)
-    fn = _builtin_integrand(spec, args)
-    return _sample(fn, grid), (lambda u: float(fn(u))), spec
+    refs = _integrand(spec, args)
+    return _sample(refs[0], grid), refs
 
 
 def _sample(fn: Callable, grid: UniformGrid) -> SampledSignal:
@@ -141,29 +140,48 @@ def _sample(fn: Callable, grid: UniformGrid) -> SampledSignal:
         return SampledSignal.sample(fn, grid)
 
 
-def _builtin_integrand(spec: str, args) -> Callable:
-    """Vectorised integrand for a built-in ``--f`` name."""
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _integrand(spec: str, args) -> tuple:
+    """``(fn, integral, derivative)`` for a built-in ``--f``: the vectorised
+    integrand, its exact integral and derivative at (x, alpha), or None."""
     if spec == "const":
-        return lambda u: args.c + 0.0 * u
+        c = _finite(args.c, "--c")
+
+        def derivative(x, alpha):
+            # at t = 0 the t -> 0+ limit of c t^(-alpha) / Gamma(1 - alpha):
+            # signed inf, or 0 where 1/Gamma(1 - alpha) or c is 0
+            r = c * oracle.exact_derivative_monomial(x or 1.0, alpha, 0.0)
+            return r if x else (math.copysign(math.inf, r) if r else 0.0)
+        return (lambda u: c + 0.0 * u,
+                lambda x, alpha: oracle.exact_integral_const(x, alpha, c),
+                derivative)
     if spec == "exp":
-        return np.exp
+        def derivative(x, alpha):
+            return oracle.exact_derivative_exp(x, alpha) if x else math.inf
+        return (np.exp, oracle.exact_integral_exp,
+                derivative if 0.0 < args.alpha < 1.0 else None)
     if spec == "sin":
-        return lambda u: np.sin(args.omega0 * u)
+        omega0 = _finite(args.omega0, "--omega0")
+
+        def fn(u):
+            return np.sin(omega0 * u)
+
+        def integral(x, alpha):
+            return 0.0 if x == 0.0 else oracle.brute_force_rl(
+                lambda u: float(fn(u)), x, alpha, args.oracle_tol)
+        # the derivative is the whole-line rule, the large-t asymptote only
+        return fn, integral if args.oracle else None, (
+            lambda x, alpha: oracle.exact_derivative_sin(x, omega0, alpha))
     raise _UsageError(f"unknown integrand {spec!r}")
 
 
-def _exact_integral_column(kind, args, alpha, t, f_callable, use_oracle):
-    if kind == "const":
-        return np.array([oracle.exact_integral_const(x, alpha, args.c)
-                         for x in t])
-    if kind == "exp":
-        return np.array([oracle.exact_integral_exp(x, alpha) for x in t])
-    if use_oracle:
-        vals = [0.0 if x == 0.0 else
-                oracle.brute_force_rl(f_callable, x, alpha, args.oracle_tol)
-                for x in t]
-        return np.array(vals)
-    return None
+def _column(ref, t, alpha) -> "np.ndarray | None":
+    return None if ref is None else np.array([ref(x, alpha) for x in t])
 
 
 def _apply_rule(signal, rule, alpha, method, memory, starting):
@@ -171,7 +189,10 @@ def _apply_rule(signal, rule, alpha, method, memory, starting):
         w = weights_for_scheme(Scheme(rule), alpha, signal.grid.dt,
                                signal.grid.n)
         if memory is not None:
-            return short_memory_integral(signal, w, memory, method=method)
+            if method != "direct" or starting is not None:
+                raise _UsageError("--memory takes neither --method fft nor "
+                                  "--starting-weights")
+            return short_memory_integral(signal, w, memory)
         return frac_integral(signal, w, method=method,
                              starting_degree=starting)
     if memory is not None or starting is not None:
@@ -198,50 +219,28 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_integrate(args) -> None:
-    signal, f_callable, kind = _resolve_integrand(args.f, args)
-    if args.oracle and f_callable is None:
+    signal, (fn, integral, _) = _resolve_integrand(args.f, args)
+    if args.oracle and fn is None:
         raise _UsageError("--oracle needs a callable integrand, not csv:")
-    alpha = args.alpha
-    out = _apply_rule(signal, args.scheme, alpha, args.method,
+    out = _apply_rule(signal, args.scheme, args.alpha, args.method,
                       args.memory, args.starting_weights)
     t = signal.grid.nodes
-    _emit_against(t, out.values, _exact_integral_column(
-        kind, args, alpha, t, f_callable, args.oracle))
+    _emit_against(t, out.values, _column(integral, t, args.alpha))
 
 
 def _cmd_differentiate(args) -> None:
-    signal, _, kind = _resolve_integrand(args.f, args)
-    alpha = args.alpha
+    if args.route == "rl" and args.direction == "forward":
+        raise _UsageError("--direction forward needs --route gl")
+    signal, (_, _, derivative) = _resolve_integrand(args.f, args)
     if args.route == "gl":
-        out = gl_derivative(signal, alpha, direction=args.direction,
+        out = gl_derivative(signal, args.alpha, direction=args.direction,
                             method=args.method)
     else:
-        out = rl_derivative_via_integral(signal, alpha,
+        out = rl_derivative_via_integral(signal, args.alpha,
                                          scheme=Scheme(args.scheme),
                                          method=args.method)
     t = signal.grid.nodes
-    _emit_against(t, out.values, _exact_derivative_column(kind, args, alpha,
-                                                          t))
-
-
-def _exact_derivative_column(kind, args, alpha, t):
-    if kind == "const":
-        # the t -> 0+ limit of c t^(-alpha) / Gamma(1 - alpha): signed inf,
-        # or 0 where 1/Gamma(1 - alpha) or c is 0
-        r = args.c * oracle.exact_derivative_monomial(1.0, alpha, 0.0)
-        at_zero = math.copysign(math.inf, r) if r != 0.0 else 0.0
-        vals = [at_zero if x == 0.0 else
-                args.c * oracle.exact_derivative_monomial(x, alpha, 0.0)
-                for x in t]
-        return np.array(vals)
-    if kind == "exp" and 0.0 < alpha < 1.0:
-        return np.array([math.inf if x == 0.0 else
-                         oracle.exact_derivative_exp(x, alpha) for x in t])
-    if kind == "sin":
-        # whole-line rule; valid as the large-t asymptote only
-        return np.array([oracle.exact_derivative_sin(x, args.omega0, alpha)
-                         for x in t])
-    return None
+    _emit_against(t, out.values, _column(derivative, t, args.alpha))
 
 
 def _cmd_convergence(args) -> None:
@@ -250,9 +249,8 @@ def _cmd_convergence(args) -> None:
         raise _UsageError("--n-list needs at least 3 grid sizes")
     if min(n_list) < 2:
         raise _UsageError("--n-list sizes must be at least 2")
-    fn = _builtin_integrand(args.f, args)
-    exact = _exact_integral_column(args.f, args, args.alpha, [args.t_probe],
-                                   lambda u: float(fn(u)), True)[0]
+    fn, integral, _ = _integrand(args.f, args)
+    exact = integral(args.t_probe, args.alpha)
     rows = []
     prev_err = prev_n = None
     for n in n_list:
@@ -321,10 +319,8 @@ def _cmd_dielectric(args) -> None:
             raise _UsageError("--time-domain takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
         grid = _time_grid(args.dt, args.t_end)
-        if not math.isfinite(args.omega0):
-            raise DomainError(f"probe frequency must be finite, "
-                              f"got {args.omega0!r}")
-        field = SampledSignal(grid, np.sin(args.omega0 * grid.nodes))
+        omega0 = _finite(args.omega0, "probe frequency")
+        field = SampledSignal(grid, np.sin(omega0 * grid.nodes))
         pol = fractional_polarization(
             field, model.alpha, eps0=args.eps0,
             scheme=Scheme(args.scheme))
@@ -418,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       default="gl", help="quadrature backing the rl route")
     diff.add_argument("--direction", choices=["backward", "forward"],
                       default="backward")
-    diff.set_defaults(func=_cmd_differentiate)
+    diff.set_defaults(func=_cmd_differentiate, oracle=False)
 
     conv = sub.add_parser("convergence",
                           help="error sweep over grid refinements")
@@ -428,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--n-list", dest="n_list", required=True,
                       type=lambda s: [int(x) for x in s.split(",")])
     conv.add_argument("--scheme", choices=_RULE_CHOICES, default="gl")
-    conv.set_defaults(func=_cmd_convergence)
+    conv.set_defaults(func=_cmd_convergence, oracle=True)
 
     diel = sub.add_parser("dielectric",
                           help="susceptibility sweeps and polarization runs")

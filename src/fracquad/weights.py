@@ -49,6 +49,7 @@ __all__ = [
     "gl_weights",
     "nc0_weights",
     "flmm_weights",
+    "euler_flmm_weights",
     "weights_for_scheme",
     "starting_weight_table",
 ]
@@ -352,8 +353,8 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
     ``Scheme.FLMM_TRAP``: ``w_k = (dt/2)^alpha sum_j C(alpha, j) b_(k-j)``,
     ``b`` the GL series at dt = 1, within ``(k+1) eps`` times the same sum
     of absolute terms, by the engine over ``b``'s far field from
-    ``_MODES_CUTOFF`` weights (9 ms at N = 2^16 on one thread); a negative
-    ``alpha`` gives the derivative-role weights.
+    ``_MODES_CUTOFF`` weights (median 8.0 ms at N = 2^16, alpha = 0.5,
+    one BLAS thread); a negative ``alpha`` gives derivative-role weights.
     """
     if scheme is Scheme.GL:
         return gl_weights(alpha, dt, n)

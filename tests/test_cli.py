@@ -317,6 +317,18 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("dielectric", "--model", "lorentz"), None, 2),
     (("dielectric", "--time-domain", "--n-exp", "0.3,0.5"), None, 2),
     (("dielectric", "--n-exp", "0.3,0.5"), None, 2),
+    # flag combinations the rules cannot honour
+    (("differentiate", "--f", "exp", "--t-end", "1", "--n", "5", "--route",
+      "rl", "--direction", "forward"), None, 2),
+    (("integrate", "--f", "exp", "--t-end", "1", "--n", "5", "--memory", "4",
+      "--method", "fft"), None, 2),
+    (("integrate", "--f", "exp", "--t-end", "1", "--n", "5", "--memory", "4",
+      "--starting-weights", "1"), None, 2),
+    # a non-finite integrand parameter, named before any sampling or oracle
+    (("convergence", "--f", "sin", "--omega0", "inf", "--alpha", "0.5",
+      "--t-probe", "1", "--n-list", "3,5,9"), None, 1),
+    (("integrate", "--f", "const", "--c", "nan", "--t-end", "1", "--n", "5"),
+     None, 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
 def test_error_paths_one_stderr_line(capsys, tmp_path, argv, csv, code):
     # usage errors exit 2, data and runtime errors 1; either way no stdout

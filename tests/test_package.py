@@ -1,5 +1,7 @@
 """The package namespace: its public names are its modules' ``__all__``."""
 
+import inspect
+
 import fracquad
 from fracquad import (
     derivative,
@@ -26,3 +28,14 @@ def test_package_all_is_the_module_lists():
     exec("from fracquad import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(want)
+
+
+def test_module_lists_name_every_public_definition():
+    # a public function or class defined in a module is in its __all__
+    for module in (derivative, dielectric, exceptions, oracle, quadrature,
+                   special, weights):
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__}
+        assert defined <= set(module.__all__), module.__name__
