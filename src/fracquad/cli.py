@@ -153,18 +153,15 @@ def _integrand(spec: str, args) -> tuple:
         c = _finite(args.c, "--c")
 
         def derivative(x, alpha):
-            # at t = 0 the t -> 0+ limit of c t^(-alpha) / Gamma(1 - alpha):
-            # signed inf, or 0 where 1/Gamma(1 - alpha) or c is 0
-            r = c * oracle.exact_derivative_monomial(x or 1.0, alpha, 0.0)
-            return r if x else (math.copysign(math.inf, r) if r else 0.0)
+            # r is 0 or inf at t = 0: c * r only if neither is 0 (no 0 * inf)
+            r = oracle.exact_derivative_monomial(x, alpha, 0.0)
+            return c * r if x or c and r else 0.0
         return (lambda u: c + 0.0 * u,
                 lambda x, alpha: oracle.exact_integral_const(x, alpha, c),
                 derivative)
     if spec == "exp":
-        def derivative(x, alpha):
-            return oracle.exact_derivative_exp(x, alpha) if x else math.inf
-        return (np.exp, oracle.exact_integral_exp,
-                derivative if 0.0 < args.alpha < 1.0 else None)
+        return (np.exp, oracle.exact_integral_exp, oracle.exact_derivative_exp
+                if 0.0 < args.alpha < 1.0 else None)
     if spec == "sin":
         omega0 = _finite(args.omega0, "--omega0")
 
@@ -172,8 +169,8 @@ def _integrand(spec: str, args) -> tuple:
             return np.sin(omega0 * u)
 
         def integral(x, alpha):
-            return 0.0 if x == 0.0 else oracle.brute_force_rl(
-                lambda u: float(fn(u)), x, alpha, args.oracle_tol)
+            return oracle.brute_force_rl(lambda u: float(fn(u)), x, alpha,
+                                         args.oracle_tol)
         # the derivative is the whole-line rule, the large-t asymptote only
         return fn, integral if args.oracle else None, (
             lambda x, alpha: oracle.exact_derivative_sin(x, omega0, alpha))
@@ -231,13 +228,15 @@ def _cmd_integrate(args) -> None:
 def _cmd_differentiate(args) -> None:
     if args.route == "rl" and args.direction == "forward":
         raise _UsageError("--direction forward needs --route gl")
+    if args.route == "gl" and args.scheme not in (None, "gl"):
+        raise _UsageError(f"--scheme {args.scheme} needs --route rl")
     signal, (_, _, derivative) = _resolve_integrand(args.f, args)
     if args.route == "gl":
         out = gl_derivative(signal, args.alpha, direction=args.direction,
                             method=args.method)
     else:
         out = rl_derivative_via_integral(signal, args.alpha,
-                                         scheme=Scheme(args.scheme),
+                                         scheme=Scheme(args.scheme or "gl"),
                                          method=args.method)
     t = signal.grid.nodes
     _emit_against(t, out.values, _column(derivative, t, args.alpha))
@@ -304,6 +303,8 @@ def _parse_modes(spec: str) -> tuple[tuple[float, float, float], ...]:
 
 
 def _cmd_dielectric(args) -> None:
+    if args.model is not None and (args.verify_ratio or args.time_domain):
+        raise _UsageError("--model applies to susceptibility sweeps only")
     if args.verify_ratio:
         rows = []
         for n_exp in args.n_exp:
@@ -335,7 +336,7 @@ def _cmd_dielectric(args) -> None:
 
 
 def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
-    if args.model == "universal":
+    if args.model in (None, "universal"):
         if len(args.n_exp) != 1:
             raise _UsageError("--model universal takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
@@ -411,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--route", choices=["gl", "rl"], default="gl",
                       help="direct GL sum or composition through an integral")
     diff.add_argument("--scheme", choices=sorted(_SCHEME_NAMES),
-                      default="gl", help="quadrature backing the rl route")
+                      help="quadrature backing the rl route (default gl)")
     diff.add_argument("--direction", choices=["backward", "forward"],
                       default="backward")
     diff.set_defaults(func=_cmd_differentiate, oracle=False)
@@ -429,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diel = sub.add_parser("dielectric",
                           help="susceptibility sweeps and polarization runs")
     diel.add_argument("--model", choices=["universal", "debye", "lorentz"],
-                      default="universal")
+                      help="susceptibility sweep model (default universal)")
     diel.add_argument("--omega-range", dest="omega_range", default="1:10:10",
                       help="start:stop:count")
     diel.add_argument("--log-omega", dest="log_omega", action="store_true")
@@ -444,9 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
     diel.add_argument("--eps0", type=float, default=1.0)
     diel.add_argument("--modes", default=None,
                       help="lorentz modes 'weight:omega:gamma[,...]'")
-    diel.add_argument("--time-domain", dest="time_domain",
+    mode = diel.add_mutually_exclusive_group()
+    mode.add_argument("--time-domain", dest="time_domain",
                       action="store_true")
-    diel.add_argument("--verify-ratio", dest="verify_ratio",
+    mode.add_argument("--verify-ratio", dest="verify_ratio",
                       action="store_true")
     diel.add_argument("--omega0", type=float, default=2.0 * math.pi)
     diel.add_argument("--dt", type=float, default=5e-4)

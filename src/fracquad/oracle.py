@@ -10,6 +10,11 @@ Riemann-Liouville rule, :func:`_power_rule`, with ``nu = -alpha`` for
     D^alpha[e^u](t)    = I^(1-alpha)[e^u](t) + I^(-alpha)[u^0](t)
     D^alpha[sin wu](t) = |w|^alpha sin(w t + pi alpha / 2)   (large-t form)
 
+Each takes t = 0 and returns its t -> 0+ limit, the powers' from the power
+rule alone: 0 for the integrals, inf for ``D^alpha[e^u]``, and for
+``D^alpha[u^q]`` 0 above q = alpha, Gamma(q+1) at it, and below it signed
+inf, or 0 on a pole.
+
 On over 11 800 points per oracle, 40-digit mpmath puts the power rule within
 0.89 and the exp oracles within 0.39 of their property tests' bounds, the
 constant within 4 eps and derivatives next to a pole within 870 eps.  Past
@@ -47,7 +52,7 @@ _NORMAL_MIN = 2.0**-1022
 
 def _power_rule(t: float, q: float, order: float) -> float:
     """``Gamma(q+1) / Gamma(x) t^(q+order)``, ``x = q + 1 + order``, for q >= 0
-    and t > 0, or t = 0 and q + order < 0 (ZeroDivisionError off a pole).
+    and t >= 0; at t = 0 its t -> 0+ limit, 0, the ratio or signed inf.
     Left of 1/2 by reflection about the nearest integer -n, at a distance d
     rounded once, so only an exact pole gives 0; past the normal range by
     one exponential, which overflows only past binary64."""
@@ -61,6 +66,10 @@ def _power_rule(t: float, q: float, order: float) -> float:
         s = s if (qi + oi + r) % 2 else -s
         if not s:
             return 0.0
+    if t == 0.0:  # the t -> 0+ limit; the ratio alone at t^0 = 1
+        if q + order:
+            return 0.0 if q + order > 0.0 else math.copysign(math.inf, s)
+        t = 1.0
     try:
         power = t**(q + order)
         ratio = (gamma(q + 1.0) * gamma(-(q + order)) * s if x < 0.5
@@ -108,8 +117,6 @@ def exact_integral_monomial(t: float, alpha: float, q: float) -> float:
         raise DomainError(f"requires finite q >= 0, got {q!r}")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 0, got {alpha!r}")
-    if t == 0.0:
-        return 0.0
     return _power_rule(t, q, alpha)
 
 
@@ -117,7 +124,8 @@ def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
     """Fractional derivative of ``u^q``: ``Gamma(q+1)/Gamma(q+1-alpha) t^(q-alpha)``.
 
     Returns 0 when ``q - alpha`` lands on a pole of the reciprocal gamma
-    (the classical derivative of a lower-degree polynomial).
+    (the classical derivative of a lower-degree polynomial); at t = 0 the
+    t -> 0+ limit: 0 above q = alpha, ``Gamma(q+1)`` at it, signed inf below.
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"requires finite t >= 0, got {t!r}")
@@ -125,21 +133,19 @@ def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
         raise DomainError(f"requires finite q >= 0, got {q!r}")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 0, got {alpha!r}")
-    if t == 0.0 and q >= alpha:  # 0, or Gamma(q + 1) at q = alpha
-        return _power_rule(1.0, q, -alpha) if q == alpha else 0.0
     return _power_rule(t, q, -alpha)
 
 
 def exact_derivative_exp(t: float, alpha: float) -> float:
     """Fractional derivative of ``e^u`` for orders in (0, 1).
 
-    ``(e^t gamma_lower(t, 1-alpha) + t^(-alpha)) / Gamma(1-alpha)``, the
-    exact time derivative of the order-``(1-alpha)`` integral closed form.
+    ``(e^t gamma_lower(t, 1-alpha) + t^(-alpha)) / Gamma(1-alpha)``, inf at
+    t = 0: the time derivative of the order-``(1-alpha)`` integral closed form.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"closed form covers alpha in (0, 1), got {alpha!r}")
-    if not t > 0.0:
-        raise DomainError(f"requires t > 0, got {t!r}")
+    if not t >= 0.0:
+        raise DomainError(f"requires t >= 0, got {t!r}")
     return exact_integral_exp(t, 1.0 - alpha) + _power_rule(t, 0.0, -alpha)
 
 
@@ -159,7 +165,7 @@ def brute_force_rl(
     alpha: float,
     tol: float = 1e-10,
 ) -> float:
-    """Left Riemann-Liouville integral by adaptive quadrature.
+    """Left Riemann-Liouville integral by adaptive quadrature; 0 at t = 0.
 
     The substitution ``u = (t - t')^alpha`` removes the endpoint
     singularity exactly, leaving
@@ -179,12 +185,14 @@ def brute_force_rl(
         If the refinement budget (2^20 evaluations) runs out, or panels
         reach floating-point resolution, before ``tol`` is met.
     """
-    if not t > 0.0:
-        raise DomainError(f"requires t > 0, got {t!r}")
+    if not t >= 0.0:
+        raise DomainError(f"requires t >= 0, got {t!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"requires alpha in (0, 1), got {alpha!r}")
     if not tol >= 1e-12:
         raise DomainError(f"tolerance floor is 1e-12, got {tol!r}")
+    if t == 0.0:
+        return 0.0
 
     inv_alpha = 1.0 / alpha
     def g(u: float) -> float:

@@ -324,6 +324,13 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
       "--method", "fft"), None, 2),
     (("integrate", "--f", "exp", "--t-end", "1", "--n", "5", "--memory", "4",
       "--starting-weights", "1"), None, 2),
+    (("differentiate", "--f", "exp", "--t-end", "1", "--n", "5", "--route",
+      "gl", "--scheme", "flmm-trap"), None, 2),
+    (("differentiate", "--f", "exp", "--t-end", "1", "--n", "5", "--scheme",
+      "nc0"), None, 2),
+    (("dielectric", "--model", "lorentz", "--verify-ratio"), None, 2),
+    (("dielectric", "--time-domain", "--model", "lorentz"), None, 2),
+    (("dielectric", "--model", "universal", "--time-domain"), None, 2),
     # a non-finite integrand parameter, named before any sampling or oracle
     (("convergence", "--f", "sin", "--omega0", "inf", "--alpha", "0.5",
       "--t-probe", "1", "--n-list", "3,5,9"), None, 1),
@@ -368,6 +375,33 @@ def test_differentiate_const_exact_at_zero(capsys, alpha, cell):
                            "--alpha", alpha, "--t-end", "1", "--n", "5")
     assert code == 0
     assert out.splitlines()[1].split(",")[2] == cell
+
+
+@pytest.mark.parametrize("c, alpha, cell", [
+    ("0", "0.5", "0.0"), ("-2", "0.5", "-inf"), ("-2", "1", "0.0"),
+    ("-2", "1.5", "inf")])
+def test_differentiate_scaled_const_exact_at_zero(capsys, c, alpha, cell):
+    # c times the limit above: c = 0 gives 0, not 0 * inf = nan, and a pole
+    # gives an unsigned 0 for c < 0
+    code, out, _ = run_cli(capsys, "differentiate", "--f", "const", "--c", c,
+                           "--alpha", alpha, "--t-end", "1", "--n", "5")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == cell
+
+
+def test_differentiate_rl_route_defaults_to_gl(capsys):
+    argv = ("differentiate", "--f", "exp", "--alpha", "0.5", "--t-end", "1",
+            "--n", "33", "--route", "rl")
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--scheme", "gl")
+
+
+def test_dielectric_modes_exclusive(capsys):
+    # argparse's usage error: exit 2, no stdout, the reason on its last line
+    code, out, err = run_cli(capsys, "dielectric", "--time-domain",
+                             "--verify-ratio")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "--verify-ratio: not allowed with argument --time-domain")
 
 
 def _run_cli_process(*argv):

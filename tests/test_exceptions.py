@@ -30,7 +30,7 @@ def _ones(n):
     (lambda: exact_integral_exp(-1.0, 0.5), DomainError, "t >= 0"),
     (lambda: exact_integral_monomial(-1.0, 0.5, 1.0), DomainError, "t >= 0"),
     (lambda: exact_derivative_exp(1.0, 1.5), DomainError, "(0, 1)"),
-    (lambda: exact_derivative_exp(0.0, 0.5), DomainError, "t > 0"),
+    (lambda: exact_derivative_exp(-1.0, 0.5), DomainError, "t >= 0"),
     (lambda: frac_integral(_ones(3), gl_weights(0.5, 0.5, 3),
                            starting_degree=3), DomainError, "too short"),
     (lambda: frac_trapezoid(_ones(1), 0.5), DomainError, "2 samples"),
@@ -43,7 +43,7 @@ def _ones(n):
      "integral orders"),
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
         "integral-exp-negative-t", "integral-monomial-negative-t",
-        "derivative-exp-order", "derivative-exp-at-zero",
+        "derivative-exp-order", "derivative-exp-negative-t",
         "starting-degree-3-on-3-samples", "trapezoid-one-sample",
         "newton-cotes-two-samples", "gamma-inf", "scheme-by-name",
         "starting-derivative-weights"])

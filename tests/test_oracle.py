@@ -225,6 +225,9 @@ def test_exact_integral_monomial_domain_errors(alpha, q):
     (0.5, 0.5, math.gamma(1.5)),   # q = alpha: Gamma(alpha + 1)
     (0.5, 200.0, 0.0),             # q > alpha, Gamma(q + 1) past binary64
     (169.5, 200.0, 0.0),           # the gamma ratio past binary64 too
+    (1.0, 0.0, 0.0),               # a pole: D^1 of a constant
+    (0.5, 0.0, math.inf),          # below q = alpha: the t -> 0+ limit,
+    (1.5, 0.0, -math.inf),         # inf signed like 1/Gamma(q + 1 - alpha)
 ])
 def test_exact_derivative_monomial_at_zero(alpha, q, want):
     assert exact_derivative_monomial(0.0, alpha, q) == want
@@ -233,9 +236,19 @@ def test_exact_derivative_monomial_at_zero(alpha, q, want):
 @pytest.mark.parametrize("alpha, q", [(1.0, 1e-16), (0.5, 0.25)])
 def test_exact_derivative_monomial_unbounded_at_zero(alpha, q):
     # q < alpha off a pole: t^(q-alpha) is unbounded at 0, even where
-    # q + 1 - alpha rounds onto the pole 0
-    with pytest.raises(ZeroDivisionError):
-        exact_derivative_monomial(0.0, alpha, q)
+    # q + 1 - alpha rounds onto the pole 0, so t = 0 gives the t -> 0+
+    # limit, inf signed like 1/Gamma(q + 1 - alpha) (> 0 here)
+    assert exact_derivative_monomial(0.0, alpha, q) == math.inf
+    with pytest.raises(DomainError):
+        exact_derivative_monomial(-1.0, alpha, q)
+
+
+def test_exact_derivative_exp_limit_at_zero():
+    # t^(-alpha) / Gamma(1 - alpha) is unbounded at 0 for every alpha in (0, 1)
+    for alpha in (1e-300, 0.25, 0.5, 0.75, 1.0 - 2.0**-53):
+        assert exact_derivative_exp(0.0, alpha) == math.inf
+    with pytest.raises(DomainError, match="t >= 0"):
+        exact_derivative_exp(-1.0, 0.5)
 
 
 def test_brute_force_constant():
@@ -316,8 +329,10 @@ def test_brute_force_budget_exhaustion():
 
 
 def test_brute_force_domain():
+    # t = 0 is the empty integral; t < 0 is outside the domain
+    assert brute_force_rl(math.exp, 0.0, 0.5) == 0.0
     with pytest.raises(DomainError):
-        brute_force_rl(math.exp, 0.0, 0.5)
+        brute_force_rl(math.exp, -1.0, 0.5)
     with pytest.raises(DomainError):
         brute_force_rl(math.exp, 1.0, 1.5)
     with pytest.raises(DomainError):

@@ -142,6 +142,27 @@ def test_exact_derivative_monomial_against_mpmath(case):
         assert abs(got - want) <= tol * _EPS * abs(want), (t, alpha, q)
 
 
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(alpha=st.floats(0.0, 400.0, exclude_min=True),
+                  q=st.floats(0.0, 169.0))
+def test_exact_derivative_monomial_limit_at_zero(alpha, q):
+    # the t -> 0+ limit of Gamma(q+1) / Gamma(x) t^(q-alpha), x = q + 1 -
+    # alpha exactly: 0 for q > alpha, Gamma(q + 1) at q = alpha, and for
+    # q < alpha 0 on a pole of Gamma(x), else inf signed like Gamma(x),
+    # negative for x in (-2k - 1, -2k)
+    got = exact_derivative_monomial(0.0, alpha, q)
+    if q >= alpha:
+        assert got == (exact_derivative_monomial(1.0, alpha, q)
+                       if q == alpha else 0.0)
+        return
+    x = mpmath.fsub(mpmath.fadd(q, 1, exact=True), alpha, exact=True)
+    floor = int(mpmath.floor(x))
+    if x == floor <= 0:
+        assert got == 0.0
+    else:
+        assert got == (-math.inf if x < 0 and floor % 2 else math.inf)
+
+
 def _brute_force_reference(t, alpha, lam):
     """``I^alpha[e^(lam u)](t) = t^alpha 1F1(1; alpha + 1; lam t) /
     Gamma(alpha + 1)`` at 40 digits, ``lam`` real or imaginary."""

@@ -230,7 +230,7 @@ def test_newton_cotes_polynomial_exactness():
 @pytest.mark.parametrize("alpha, method", [
     pytest.param(alpha, method, id=str(alpha) + suffix)
     for method, suffix in (("direct", ""), ("fft", "-fft"))
-    for alpha in (0.3, 0.81, 1.0, 1.7)])
+    for alpha in (0.3, 0.81, 1.0, 1.7, 6.0)])
 def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha, method):
     # degree p-1 polynomials are integrated exactly, so every node must be
     # within N eps I^alpha[|f|](t_n); f > 0 here, so that is the exact value
@@ -466,6 +466,19 @@ def test_panel_rules_reject_overflowing_orders(rule, alpha):
                 frac_trapezoid(sig, alpha)
             else:
                 frac_newton_cotes(sig, alpha, int(rule[2]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("alpha", [6.000000000000001, 12.0, 60.0])
+def test_newton_cotes_refuses_orders_past_its_bound(alpha, p):
+    # past alpha = 6 a starting column cancels the Toeplitz weight reaching
+    # node 0 to rounding (at alpha = 12 the error reached 12 times the bound,
+    # at alpha = 60 it read 0.0 for 3.85e-227): a typed error, no warning
+    sig = make_signal(lambda t: 1.0 + t, 1.0, 257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha <= 6"):
+            frac_newton_cotes(sig, alpha, p)
 
 
 def test_newton_cotes_alignment():
