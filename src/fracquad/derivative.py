@@ -84,11 +84,10 @@ def rl_derivative_via_integral(
     weights = weights_for_scheme(scheme, n - alpha, signal.grid.dt,
                                  signal.grid.n)
     smoothed = frac_integral(signal, weights, method=method).values
-    if n == 1:
-        deriv = np.gradient(smoothed, signal.grid.dt, edge_order=2)
-    else:
-        deriv = _second_difference(smoothed, signal.grid.dt)
-    return signal.replace_values(deriv)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        deriv = (np.gradient(smoothed, signal.grid.dt, edge_order=2) if n == 1
+                 else _second_difference(smoothed, signal.grid.dt))
+    return signal.replace_values(deriv, f"derivative of order {alpha!r}")
 
 
 def _second_difference(g: np.ndarray, dt: float) -> np.ndarray:

@@ -218,7 +218,9 @@ def fractional_polarization(
     grid = e_field.grid
     weights = weights_for_scheme(scheme, alpha, grid.dt, grid.n)
     out = frac_integral(e_field, weights, method=method)
-    return e_field.replace_values(eps0 * out.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = eps0 * out.values
+    return e_field.replace_values(p, f"polarization of order {alpha!r}")
 
 
 def _time_grid(dt: float, t_end: float) -> UniformGrid:

@@ -4,7 +4,6 @@ __all__ = [
     "FracquadError",
     "DomainError",
     "PoleError",
-    "SingularSystemError",
     "GridMismatchError",
     "LengthError",
     "AlignmentError",
@@ -19,15 +18,12 @@ class FracquadError(Exception):
 
 
 class DomainError(FracquadError, ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument lies outside the mathematical domain of the operation, or
+    a result would leave the binary64 range."""
 
 
 class PoleError(DomainError):
     """The gamma function was evaluated at one of its poles (0, -1, -2, ...)."""
-
-
-class SingularSystemError(FracquadError, ArithmeticError):
-    """The starting-weight correction system is numerically singular."""
 
 
 class GridMismatchError(FracquadError, ValueError):

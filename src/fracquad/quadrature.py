@@ -24,7 +24,7 @@ the two terms of NC3 and FLMM_TRAP), run ``direct``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable
 
 import numpy as np
@@ -82,20 +82,21 @@ class UniformGrid:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Real samples of a function on a :class:`UniformGrid`."""
+    """Real samples of a function on a :class:`UniformGrid`; non-finite
+    values named ``result`` are reported as a result past binary64."""
 
     grid: UniformGrid
     values: np.ndarray
+    result: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, result: str | None) -> None:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) != self.grid.n:
-            raise DomainError(
-                f"signal needs {self.grid.n} samples, got shape "
-                f"{values.shape}"
-            )
+            raise DomainError(f"signal needs {self.grid.n} samples, got "
+                              f"shape {values.shape}")
         if not np.all(np.isfinite(values)):
-            raise DomainError("signal samples must all be finite")
+            raise DomainError(f"{result} leaves the binary64 range" if result
+                              else "signal samples must all be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -104,8 +105,10 @@ class SampledSignal:
                grid: UniformGrid) -> "SampledSignal":
         return cls(grid, np.asarray(f(grid.nodes), dtype=float))
 
-    def replace_values(self, values: np.ndarray) -> "SampledSignal":
-        return SampledSignal(self.grid, values)
+    def replace_values(self, values: np.ndarray,
+                       result: str = "result") -> "SampledSignal":
+        """``values`` computed from these samples, named ``result``."""
+        return SampledSignal(self.grid, values, result)
 
 
 def _check_compatibility(signal: SampledSignal,
@@ -136,10 +139,11 @@ def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _Terms | None,
     if method not in ("direct", "fft"):
         raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
     g = np.concatenate(([0.0], f[:-1])) if shift else f
-    out = _causal_conv_modes(g, weights,
-                             far_field if method == "fft" else None)
-    if head is not None:
-        out += head @ f[: head.shape[1]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _causal_conv_modes(g, weights,
+                                 far_field if method == "fft" else None)
+        if head is not None:
+            out += head @ f[: head.shape[1]]
     return out
 
 
@@ -179,7 +183,7 @@ def frac_integral(
         head = starting_weight_table(weights, starting_degree)[: signal.grid.n]
     return signal.replace_values(_evaluate(
         signal.values, weights.values, weights.far_field, method, head,
-        weights.scheme.panel_based))
+        weights.scheme.panel_based), f"convolution of order {weights.alpha!r}")
 
 
 def frac_trapezoid(signal: SampledSignal, alpha: float,
@@ -201,8 +205,8 @@ def frac_trapezoid(signal: SampledSignal, alpha: float,
     c = nc0_weights(alpha, dt, min(n, 2 * _BLOCK) if method == "fft" else n)
     if len(c) < n and not _engine_runs(n, c.far_field):
         c = nc0_weights(alpha, dt, n)
-    return signal.replace_values(_evaluate(averages, c.values, c.far_field,
-                                           method, shift=True))
+    out = _evaluate(averages, c.values, c.far_field, method, shift=True)
+    return signal.replace_values(out, f"trapezoid rule of order {alpha!r}")
 
 
 def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
@@ -223,11 +227,12 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
     of one panel taken around its own centre (:func:`_panel_moments`), so
     the weights keep full relative accuracy at any distance, and
     polynomials of degree ``p - 1`` come out exact to within
-    ``N * eps * I^alpha[|f|](t_n)``.  ``method`` is that of
-    :func:`frac_integral`, the engine's bound doubled for p = 3.  Orders
-    run over 0 < alpha <= 6: past that a starting column cancels the
-    Toeplitz weight reaching node 0 down to rounding, and node 1 misses
-    the bound (from alpha = 7.11 at N = 65; 0.0 for 3.9e-227 at alpha = 60).
+    ``max(N, 64) * eps * I^alpha[|f|](t_n)``, the floor for the few eps of
+    the first nodes.  ``method`` is that of :func:`frac_integral`, the
+    engine's bound doubled for p = 3.  Orders run over 0 < alpha <= 6: past
+    that a starting column cancels the Toeplitz weight reaching node 0 down
+    to rounding, and node 1 misses the bound (from alpha = 7.11 at N = 65;
+    0.0 for 3.9e-227 at alpha = 60).
     """
     if p not in (2, 3):
         raise DomainError(f"panel order must be 2 or 3, got {p}")
@@ -242,8 +247,8 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
             f"{n - 1} steps do not tile into panels of {p - 1} steps"
         )
     v, far_field, head = _newton_cotes_rule(alpha, signal.grid.dt, n, p)
-    return signal.replace_values(_evaluate(signal.values, v, far_field,
-                                           method, head))
+    out = _evaluate(signal.values, v, far_field, method, head)
+    return signal.replace_values(out, f"NC{p} rule of order {alpha!r}")
 
 
 def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int
@@ -385,4 +390,5 @@ def short_memory_integral(
     _check_compatibility(signal, weights)
     out = _evaluate(signal.values, weights.values[:memory_length], None,
                     method, shift=weights.scheme.panel_based)
-    return signal.replace_values(out)
+    return signal.replace_values(out,
+                                 f"convolution of order {weights.alpha!r}")

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DomainError, SingularSystemError
+from .exceptions import DomainError
 from .special import gamma
 
 __all__ = [
@@ -413,9 +413,9 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
     since the rule at node n sees no later samples.
     O((s+1)^2 N) for N weights: the defects are nested prefix sums, each
     within ``(q+1) (n+1) eps (|w| * x^q)_n`` (:func:`_monomial_defects`),
-    and the Vandermonde solves run elementwise over the nodes.  Orders whose
-    defect table leaves binary64 (``Gamma(s+1+alpha)``, ``(N-1)^(s+alpha)``
-    or ``dt^(+-alpha)`` past e^700) raise DomainError before any of that.
+    and the Vandermonde solves run elementwise over the nodes.  A table past
+    binary64 raises DomainError: after the ``dt^alpha`` scale, or before any
+    of that where ``Gamma(s+1+alpha)`` or ``dt^(+-alpha)`` pass e^700.
     """
     if weights.scheme.panel_based:
         raise DomainError(
@@ -424,20 +424,22 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
         )
     if not 0 <= s <= 3:
         raise DomainError(f"correction degree must be in 0..3, got {s}")
-    alpha, n_max = weights.alpha, len(weights.values) - 1
+    alpha, dt, n_max = weights.alpha, weights.dt, len(weights.values) - 1
     if not alpha > 0:
         raise DomainError("starting corrections apply to integral orders")
-    if not max(math.lgamma(s + 1.0 + alpha), (s + alpha) * math.log(
-            max(n_max, 1)), abs(alpha * math.log(weights.dt))) < 700:
-        raise DomainError(f"order {alpha!r} on {n_max + 1} nodes takes the "
-                          f"degree-{s} defect table past binary64")
-    defects = _monomial_defects(weights, s, n_max)
+    message = (f"order {alpha!r} on {n_max + 1} nodes takes the degree-{s} "
+               f"starting-weight table past binary64")
+    if not max(math.lgamma(s + 1.0 + alpha), abs(alpha * math.log(dt))) < 700:
+        raise DomainError(message)
     table = np.zeros((n_max + 1, s + 1))
-    if n_max >= s:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = _monomial_defects(weights, s, n_max)
         table[s:] = _solve_rows(defects[:, s:], s)
-    for n in range(min(s, n_max + 1)):
-        table[n, : n + 1] = _solve_rows(defects[: n + 1, n: n + 1], n)[0]
-    table *= weights.dt**weights.alpha
+        for n in range(min(s, n_max + 1)):
+            table[n, : n + 1] = _solve_rows(defects[: n + 1, n: n + 1], n)[0]
+        table *= dt**alpha
+    if not np.isfinite(table).all():
+        raise DomainError(message)
     table.setflags(write=False)
     return table
 
@@ -456,9 +458,4 @@ def _solve_rows(defect_cols: np.ndarray, s: int) -> np.ndarray:
     for k in range(s - 1, -1, -1):
         sol[k + 1:] /= k + 1
         sol[k:s] -= sol[k + 1:]
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystemError(
-            f"starting-weight system of degree {s} produced non-finite "
-            "corrections"
-        )
     return sol.T

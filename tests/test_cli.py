@@ -452,6 +452,23 @@ def test_coeffs_overflowing_weights_exit_one(scheme):
     assert "binary64" in run.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--f", "const", "--c", "1e307", "--alpha", "0.5", "--t-end", "5000",
+     "--n", "5000", "--method", "direct"),
+    ("--f", "const", "--c", "1e307", "--alpha", "0.5", "--t-end", "5000",
+     "--n", "5000", "--method", "fft"),
+    ("--f", "const", "--alpha", "1.896", "--t-end", "6.4e160", "--n", "481",
+     "--starting-weights", "3"),
+], ids=["output-direct", "output-fft", "starting-table"])
+def test_result_past_binary64_exit_one(argv):
+    # finite samples whose integral, or starting-weight table, leaves
+    # binary64: one typed error line naming the result, no RuntimeWarning
+    run = _run_cli_process("integrate", *argv)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert len(run.stderr.splitlines()) == 1
+    assert "binary64" in run.stderr and "Warning" not in run.stderr
+
+
 @pytest.mark.parametrize("n_exp, dt", [("0.5", "10"), ("0.3", "0.5")])
 def test_verify_ratio_degenerate_fit_exit_one(capsys, n_exp, dt):
     code, out, err = run_cli(capsys, "dielectric", "--verify-ratio",

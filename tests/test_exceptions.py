@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from fracquad.derivative import rl_derivative_via_integral
 from fracquad.dielectric import (DebyeModel, LorentzEnsemble,
+                                 fractional_polarization,
                                  lorentz_susceptibility)
 from fracquad.exceptions import AlignmentError, DomainError
 from fracquad.oracle import (exact_derivative_exp, exact_integral_exp,
@@ -54,3 +56,40 @@ def test_typed_error(call, error, fragment):
         with pytest.raises(error) as info:
             call()
     assert fragment in str(info.value)
+
+
+def _const(value, n, dt=1.0):
+    return SampledSignal(UniformGrid(dt, n), np.full(n, value))
+
+
+_ALTERNATING = SampledSignal(UniformGrid(0.01, 2000),
+                             1e306 * (-1.0)**np.arange(2000))
+_GROWING = SampledSignal.sample(lambda t: np.exp(t / 4),
+                                UniformGrid(0.01, 2000))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: frac_integral(_const(1e307, 5000), gl_weights(0.5, 1.0, 5000)),
+    lambda: frac_integral(_const(1e307, 5000), gl_weights(0.5, 1.0, 5000),
+                          method="fft"),
+    lambda: frac_trapezoid(_const(1e307, 5000), 0.5),
+    lambda: frac_trapezoid(_const(1e307, 5000), 0.5, method="fft"),
+    lambda: frac_newton_cotes(_const(1e307, 4001), 0.5, 2, method="fft"),
+    # each pre-check exponent below 700, their sum above it
+    lambda: starting_weight_table(gl_weights(1.896, 1.33e158, 481), 3),
+    lambda: starting_weight_table(gl_weights(2.396, 2.82e126, 2206), 2),
+    lambda: rl_derivative_via_integral(_ALTERNATING, 1.5),
+    # dt^2 underflows to 0 in the second difference
+    lambda: rl_derivative_via_integral(_const(1.0, 50, 1e-170), 1.5),
+    lambda: fractional_polarization(_GROWING, 0.5, eps0=1e307),
+], ids=["integral-direct", "integral-fft", "trapezoid-direct",
+        "trapezoid-fft", "newton-cotes-fft", "table-s3", "table-s2",
+        "rl-derivative", "rl-derivative-tiny-step", "polarization-eps0"])
+def test_result_past_binary64(call):
+    # finite inputs, a result past binary64: one DomainError that names the
+    # result, not the samples, and no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="binary64") as info:
+            call()
+    assert "samples" not in str(info.value)

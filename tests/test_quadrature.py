@@ -226,15 +226,17 @@ def test_newton_cotes_polynomial_exactness():
 
 @pytest.mark.parametrize("p, coeffs", [(2, (1.25, 0.75)),
                                        (3, (1.25, -0.5, 0.75))])
-@pytest.mark.parametrize("n", [65, 1025, 4097])
+@pytest.mark.parametrize("n", [3, 5, 9, 17, 33, 65, 1025, 4097])
 @pytest.mark.parametrize("alpha, method", [
     pytest.param(alpha, method, id=str(alpha) + suffix)
     for method, suffix in (("direct", ""), ("fft", "-fft"))
     for alpha in (0.3, 0.81, 1.0, 1.7, 6.0)])
 def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha, method):
     # degree p-1 polynomials are integrated exactly, so every node must be
-    # within N eps I^alpha[|f|](t_n); f > 0 here, so that is the exact value
-    # (fft runs the engine at 4097 nodes for alpha < 1)
+    # within max(N, 64) eps I^alpha[|f|](t_n); f > 0 here, so that is the
+    # exact value (fft runs the engine at 4097 nodes for alpha < 1).  The
+    # floor covers the few eps of the first nodes, whatever N is: at N = 3
+    # the 3-point rule reaches 13 N eps (alpha = 5.96), 0.62 of the floor
     grid = UniformGrid(3.1 / (n - 1), n)
     sig = SampledSignal(grid, np.polynomial.polynomial.polyval(
         grid.nodes, coeffs))
@@ -248,7 +250,8 @@ def test_newton_cotes_exact_to_rounding(p, coeffs, n, alpha, method):
         for m in range(1, n):
             t = m * mpmath.mpf(grid.dt)
             want = t**a * mpmath.polyval(scale[::-1], t)
-            assert abs(mpmath.mpf(out[m]) - want) <= n * eps * want, m
+            tol = max(n, 64) * eps * want
+            assert abs(mpmath.mpf(out[m]) - want) <= tol, m
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 2.3, 4.3])

@@ -2,17 +2,21 @@
 random orders, steps and indices."""
 
 import math
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from fracquad.exceptions import DomainError  # noqa: E402
 from fracquad.weights import (  # noqa: E402
     Scheme,
     gl_weights,
     nc0_weights,
+    starting_weight_table,
     weights_for_scheme,
 )
 
@@ -99,3 +103,31 @@ def test_flmm_trap_weight_against_mpmath(alpha, dt, k, extra):
         err = abs(got.values[k] - total * scale)
         tol = (k + 1) * (_EPS * absolute * scale + 2.0**-1074)
         assert err <= tol, (alpha, dt, k, extra)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(s=st.integers(0, 3), n=st.integers(2, 3000),
+                  alpha=st.floats(1.0, 60.0), share=st.floats(0.0, 1.0),
+                  scheme=st.sampled_from([Scheme.GL, Scheme.FLMM_TRAP]))
+def test_starting_weight_table_finite_or_domain_error(s, n, alpha, share,
+                                                      scheme):
+    # a = lgamma(s + 1 + alpha), b = (s + alpha) ln(N - 1) and c = |alpha
+    # ln dt| each below 700 (alpha <= 60 keeps a and b there) but a + b + c
+    # at least 700, where a check of each exponent alone misses overflow:
+    # the table is finite or a DomainError, never inf cells or a
+    # RuntimeWarning (alpha >= 1 keeps dt = e^(c / alpha) in binary64)
+    a = math.lgamma(s + 1.0 + alpha)
+    b = (s + alpha) * math.log(max(n - 1, 1))
+    lo = max(0.0, 700.0 - a - b)
+    c = lo + share * (700.0 - lo) * (1.0 - 2.0**-20)
+    dt = math.exp(c / alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = starting_weight_table(
+                weights_for_scheme(scheme, alpha, dt, n), s)
+        except DomainError as exc:
+            assert "binary64" in str(exc)
+            return
+    assert table.shape == (n, s + 1)
+    assert np.isfinite(table).all()
