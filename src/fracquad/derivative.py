@@ -91,9 +91,10 @@ def rl_derivative_via_integral(
 
 
 def _second_difference(g: np.ndarray, dt: float) -> np.ndarray:
-    """Second differences, one-sided at the ends; ``len(g) >= 4``."""
+    """Second differences, one-sided at the ends; ``len(g) >= 4``.  Divided
+    by ``dt`` twice: ``dt**2`` underflows below dt ~ 1.5e-162."""
     out = np.empty_like(g)
-    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dt**2
-    out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / dt**2
-    out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / dt**2
+    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dt / dt
+    out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / dt / dt
+    out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / dt / dt
     return out

@@ -1,13 +1,10 @@
 """Left-sided fractional integrals of sampled signals.
 
-Every rule here is data, weight sequences plus an index convention, and
-one evaluator, ``_evaluate``, takes them all:
-``out[n] = sum_{j=0..n} w_j f_(n-j) + sum_k head[n, k] f_k``, the head
-holding columns on the first nodes: starting corrections, or the
-Newton-Cotes starting columns, whose row 0 cancels ``w_0 f_0`` so that
-``out[0] = 0``.  Panel rules (NC0, and the fractional trapezoid, NC0 on
-the panel averages) sum the ``n`` panels left of node n, which the
-evaluator takes as a one-sample shift of the input.
+Every rule here is one ``weights._Rule``, which ``weights._evaluate`` takes
+beside the engine: Toeplitz weights, head columns on the first nodes
+(starting corrections, or Newton-Cotes starting columns, whose row 0 cancels
+``w_0 f_0`` so that ``out[0] = 0``) and, for the panel rules (NC0, and the
+trapezoid, NC0 on panel averages), an input shift of one sample.
 
 The ``direct`` path (the default) sums only the causal triangle, as
 products of signal blocks with Toeplitz blocks of the weights (one
@@ -39,10 +36,10 @@ from .special import gamma
 from .weights import (
     _BLOCK,
     WeightSequence,
-    _Terms,
-    _causal_conv_modes,
     _engine_runs,
+    _evaluate,
     _far_field,
+    _Rule,
     _validate_common,
     nc0_weights,
     starting_weight_table,
@@ -126,27 +123,6 @@ def _check_compatibility(signal: SampledSignal,
         )
 
 
-def _evaluate(f: np.ndarray, weights: np.ndarray, far_field: _Terms | None,
-              method: str, head: np.ndarray | None = None,
-              shift: bool = False) -> np.ndarray:
-    """``out[n] = sum_j w_j f_(n-j) + sum_k head[n, k] f_k`` for the weights
-    ``w`` and their integral form ``far_field`` (used by ``fft``).
-
-    ``shift`` is the panel rules' convention, taken here once: the input
-    moves one sample later (``f_(-1) = 0``), so ``out[n]`` sums panels
-    0..n-1 and ``out[0] = 0``.
-    """
-    if method not in ("direct", "fft"):
-        raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
-    g = np.concatenate(([0.0], f[:-1])) if shift else f
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _causal_conv_modes(g, weights,
-                                 far_field if method == "fft" else None)
-        if head is not None:
-            out += head @ f[: head.shape[1]]
-    return out
-
-
 def frac_integral(
     signal: SampledSignal,
     weights: WeightSequence,
@@ -181,9 +157,9 @@ def frac_integral(
             raise DomainError(f"signal too short for degree-"
                               f"{starting_degree} starting corrections")
         head = starting_weight_table(weights, starting_degree)[: signal.grid.n]
-    return signal.replace_values(_evaluate(
-        signal.values, weights.values, weights.far_field, method, head,
-        weights.scheme.panel_based), f"convolution of order {weights.alpha!r}")
+    out = _evaluate(signal.values, weights._rule._replace(head=head), method)
+    return signal.replace_values(out,
+                                 f"convolution of order {weights.alpha!r}")
 
 
 def frac_trapezoid(signal: SampledSignal, alpha: float,
@@ -198,14 +174,14 @@ def frac_trapezoid(signal: SampledSignal, alpha: float,
     if n < 2:
         raise DomainError("trapezoid rule needs at least 2 samples")
     f = signal.values
-    averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
+    averages = np.concatenate((0.5 * f[:-1] + 0.5 * f[1:], [0.0]))
     dt = signal.grid.dt
     _validate_common(alpha, dt, n, "NC0 rule")
     # the engine, when it runs, reads only the first 2 L weights
     c = nc0_weights(alpha, dt, min(n, 2 * _BLOCK) if method == "fft" else n)
     if len(c) < n and not _engine_runs(n, c.far_field):
         c = nc0_weights(alpha, dt, n)
-    out = _evaluate(averages, c.values, c.far_field, method, shift=True)
+    out = _evaluate(averages, c._rule, method)
     return signal.replace_values(out, f"trapezoid rule of order {alpha!r}")
 
 
@@ -246,15 +222,14 @@ def frac_newton_cotes(signal: SampledSignal, alpha: float, p: int,
         raise AlignmentError(
             f"{n - 1} steps do not tile into panels of {p - 1} steps"
         )
-    v, far_field, head = _newton_cotes_rule(alpha, signal.grid.dt, n, p)
-    out = _evaluate(signal.values, v, far_field, method, head)
+    out = _evaluate(signal.values,
+                    _newton_cotes_rule(alpha, signal.grid.dt, n, p), method)
     return signal.replace_values(out, f"NC{p} rule of order {alpha!r}")
 
 
-def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int
-                       ) -> tuple[np.ndarray, _Terms | None, np.ndarray]:
-    """Toeplitz weights ``v`` with their far field, and the starting columns
-    of :func:`frac_newton_cotes`, scaled by ``dt^alpha / Gamma(alpha)``.
+def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int) -> _Rule:
+    """The rule of :func:`frac_newton_cotes`: weights ``v``, their far field
+    and the starting columns (head), scaled by ``dt^alpha / Gamma(alpha)``.
 
     For j > 0, ``v_j = sin(pi alpha) / pi dt^alpha int u^-alpha (g_A(u) +
     (-1)^j g_B(u)) e^(-uj) du``, g being the node basis functions of a
@@ -303,7 +278,7 @@ def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int
     scale = dt**alpha / gamma(alpha)
     v *= scale
     far = _far_field(*((g, alpha, dt**alpha, alt) for g, alt in terms))
-    return v, far, columns.T * scale
+    return _Rule(v, far, columns.T * scale)
 
 
 def _panel_g(u: np.ndarray, sign: float) -> np.ndarray:
@@ -388,7 +363,7 @@ def short_memory_integral(
             f"memory length must be in [1, {n}], got {memory_length}"
         )
     _check_compatibility(signal, weights)
-    out = _evaluate(signal.values, weights.values[:memory_length], None,
-                    method, shift=weights.scheme.panel_based)
+    out = _evaluate(signal.values, weights._rule._replace(
+        values=weights.values[:memory_length], far=None), method)
     return signal.replace_values(out,
                                  f"convolution of order {weights.alpha!r}")

@@ -28,6 +28,7 @@ origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
 engine, ``WeightSequence.far_field``, a tuple of terms: GL in (-64, 1), NC0
 in (0, 1) and FLMM_TRAP in (-1, 1), a term per branch cut, z > 1 and z < -1.
+Every rule is one :class:`_Rule`, which :func:`_evaluate` alone evaluates.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +76,15 @@ class Scheme(enum.Enum):
 _Terms = tuple[tuple[Callable[..., np.ndarray], float, float, bool], ...]
 
 
+class _Rule(NamedTuple):
+    """``sum_j values_j g_(n-j) + sum_k head[n,k] f_k``, g = f or f shifted."""
+
+    values: np.ndarray
+    far: _Terms | None = None
+    head: np.ndarray | None = None
+    shift: bool = False
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Weights of one (scheme, alpha, dt) convolution rule.
@@ -101,6 +111,10 @@ class WeightSequence:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def _rule(self) -> _Rule:
+        return _Rule(self.values, self.far_field, None, self.scheme.panel_based)
 
 
 #: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
@@ -147,20 +161,40 @@ _MODES_CUTOFF = 3000
 
 
 def _engine_runs(n: int, far: _Terms | None) -> bool:
-    """Whether :func:`_causal_conv_modes` takes ``n`` samples through the
-    far field ``far``, reading only the first 2 L weights, not direct."""
+    """Whether ``fft`` takes ``n`` samples through the far field ``far``."""
     return far is not None and 2 * n >= _MODES_CUTOFF * (1 + len(far))
 
 
+def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
+    """``rule`` on ``f``: direct, or under ``fft`` the engine where it runs,
+    on g 2^-k with its output scaled back by 2^k, k > 0 only where its
+    unweighted state, up to N max|g|, would reach 2^1000.  With k > 0
+    samples below 2^(k-1022) turn subnormal: outputs built from them lose
+    precision and are not bitwise causal, k following max|g|."""
+    if method not in ("direct", "fft"):
+        raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
+    g = np.concatenate(([0.0], f[:-1])) if rule.shift else f
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "fft" and _engine_runs(len(g), rule.far):
+            k = max(0, len(g).bit_length() - 1000
+                    + math.frexp(max(g.max(), -g.min()))[1])
+            out = _causal_conv_modes(np.ldexp(g, -k) if k else g,
+                                     rule.values, rule.far)
+            out = np.ldexp(out, k) if k else out
+        else:
+            out = _causal_conv_direct(g, rule.values)
+        if rule.head is not None:
+            out += rule.head @ f[: rule.head.shape[1]]
+    return out
+
+
 def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
-                       far: _Terms | None) -> np.ndarray:
-    """:func:`_causal_conv_direct` in O(N (L + M)) for a far field (None runs
-    direct), bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term:
-    block lags 0 and 1 of :func:`_blocked` exact, older rows F through M
+                       far: _Terms) -> np.ndarray:
+    """:func:`_causal_conv_direct` in O(N (L + M)) through the far field,
+    bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term: block
+    lags 0 and 1 of :func:`_blocked` exact, older rows F through M
     same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
     by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b."""
-    if not _engine_runs(len(f), far):
-        return _causal_conv_direct(f, values)
     u, c, alternating = _modes(far, len(f))
     f_rows, out = _blocked(f, values, 2)
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
@@ -366,8 +400,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         alpha, k = b.alpha, np.arange(1.0, n)
         with np.errstate(over="ignore", invalid="ignore"):
             a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
-            values = (_causal_conv_modes(a, b.values, b.far_field)
-                      * np.float64(dt / 2)**alpha)
+            values = _evaluate(a, b._rule, "fft") * np.float64(dt / 2)**alpha
             scale = np.float64(dt)**alpha
         # the branch cuts z > 1 and z < -1 (the alternating term)
         far = _far_field((_flmm_g(0.5), alpha, scale, False),

@@ -107,6 +107,20 @@ def test_integrate_csv_roundtrip(capsys, tmp_path):
     assert len(cols["t"]) == 8
 
 
+def test_integrate_csv_skips_blank_lines(capsys, tmp_path):
+    rows = ["t,f", "0.0,1.0", "0.5,2.0", "1.0,0.5"]
+    outs = []
+    for name, lines in (("plain", rows), ("blank", rows[:2] + ["", "  "]
+                                          + rows[2:] + [""])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "integrate", "--f", f"csv:{path}",
+                               "--alpha", "0.5")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_integrate_csv_schema_error(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,f\n0.0,1.0\n0.1,2.0\n0.25,3.0\n")
@@ -313,6 +327,7 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("dielectric", "--omega-range", "1:2"), None, 2),
     (("dielectric", "--omega-range", "1:2:0"), None, 2),
     (("dielectric", "--omega-range", "0:10:5", "--log-omega"), None, 2),
+    (("dielectric", "--omega-range", "inf:10:5"), None, 1),
     (("dielectric", "--model", "lorentz", "--modes", "1:1"), None, 2),
     (("dielectric", "--model", "lorentz"), None, 2),
     (("dielectric", "--time-domain", "--n-exp", "0.3,0.5"), None, 2),

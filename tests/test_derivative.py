@@ -134,6 +134,20 @@ def test_rl_route_second_envelope():
         rl_derivative_via_integral(sig, 2.0)
 
 
+def test_rl_route_second_difference_at_tiny_steps():
+    # the second difference divides by dt twice, where dt^2 would underflow
+    # below dt ~ 1.5e-162: at dt = 2^-566 every scale is a power of two, so
+    # the output is that at dt = 1 times 2^(1.5 * 566) bit for bit; at
+    # dt = 1e-170 the stencil cancels the same digits as at dt = 1
+    def ones(dt):
+        return SampledSignal(UniformGrid(dt, 50), np.ones(50))
+    unit = rl_derivative_via_integral(ones(1.0), 1.5).values
+    got = rl_derivative_via_integral(ones(2.0**-566), 1.5).values
+    assert np.array_equal(got, np.ldexp(unit, 849))
+    tiny = rl_derivative_via_integral(ones(1e-170), 1.5).values
+    np.testing.assert_allclose(tiny, unit * 1e255, rtol=1e-10, atol=0.0)
+
+
 def test_cross_method_agreement_on_decaying_exp():
     sig = make_signal(lambda t: np.exp(-t), 8.0, 2048)
     t = sig.grid.nodes

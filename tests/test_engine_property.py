@@ -58,7 +58,8 @@ def test_fft_within_direct_bound(case, seed):
                        for m in ("fft", "direct"))
         w = w.values
     else:
-        w, _, head = _newton_cotes_rule(alpha, grid.dt, n, rule)
+        nc = _newton_cotes_rule(alpha, grid.dt, n, rule)
+        w, head = nc.values, nc.head
         fft, direct = (frac_newton_cotes(sig, alpha, rule, method=m).values
                        for m in ("fft", "direct"))
     f = np.abs(sig.values)

@@ -58,8 +58,8 @@ def test_typed_error(call, error, fragment):
     assert fragment in str(info.value)
 
 
-def _const(value, n, dt=1.0):
-    return SampledSignal(UniformGrid(dt, n), np.full(n, value))
+def _const(value, n):
+    return SampledSignal(UniformGrid(1.0, n), np.full(n, value))
 
 
 _ALTERNATING = SampledSignal(UniformGrid(0.01, 2000),
@@ -79,12 +79,10 @@ _GROWING = SampledSignal.sample(lambda t: np.exp(t / 4),
     lambda: starting_weight_table(gl_weights(1.896, 1.33e158, 481), 3),
     lambda: starting_weight_table(gl_weights(2.396, 2.82e126, 2206), 2),
     lambda: rl_derivative_via_integral(_ALTERNATING, 1.5),
-    # dt^2 underflows to 0 in the second difference
-    lambda: rl_derivative_via_integral(_const(1.0, 50, 1e-170), 1.5),
     lambda: fractional_polarization(_GROWING, 0.5, eps0=1e307),
 ], ids=["integral-direct", "integral-fft", "trapezoid-direct",
         "trapezoid-fft", "newton-cotes-fft", "table-s3", "table-s2",
-        "rl-derivative", "rl-derivative-tiny-step", "polarization-eps0"])
+        "rl-derivative", "polarization-eps0"])
 def test_result_past_binary64(call):
     # finite inputs, a result past binary64: one DomainError that names the
     # result, not the samples, and no numpy RuntimeWarning on the way

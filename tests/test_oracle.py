@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracquad import oracle
 from fracquad.exceptions import DomainError, ToleranceNotMet
 from fracquad.oracle import (
     brute_force_rl,
@@ -326,6 +327,13 @@ def test_brute_force_semigroup():
 def test_brute_force_budget_exhaustion():
     with pytest.raises(ToleranceNotMet):
         brute_force_rl(lambda u: math.sin(3e5 * u * u), 5.0, 0.5, 1e-12)
+
+
+def test_brute_force_evaluation_budget(monkeypatch):
+    # a smooth integrand that would converge, given more than 50 evaluations
+    monkeypatch.setattr(oracle, "_MAX_ORACLE_EVALS", 50)
+    with pytest.raises(ToleranceNotMet, match="budget"):
+        brute_force_rl(math.exp, 1.0, 0.5, 1e-12)
 
 
 def test_brute_force_domain():

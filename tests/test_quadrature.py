@@ -5,7 +5,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -26,7 +25,6 @@ from fracquad.oracle import (
 from fracquad.quadrature import (
     SampledSignal,
     UniformGrid,
-    _evaluate,
     _newton_cotes_rule,
     _panel_moments,
     frac_integral,
@@ -43,6 +41,7 @@ from fracquad.weights import (
     Scheme,
     WeightSequence,
     _causal_conv_direct,
+    _evaluate,
     _modes,
     _monomial_defects,
     flmm_weights,
@@ -183,6 +182,23 @@ def test_classical_limits_alpha_one():
         want = dt / 3.0 * np.sum(
             values[0:m - 1:2] + 4.0 * values[1:m:2] + values[2:m + 1:2])
         assert simpson[m] == pytest.approx(want, abs=1e-11)
+
+
+@pytest.mark.parametrize("n, dt, method", [(100, 1e-3, "direct"),
+                                          (5000, 1e-6, "fft")])
+def test_trapezoid_of_samples_near_the_binary64_limit(n, dt, method):
+    # f_k + f_(k+1) overflows above about 9e307; the panels average as
+    # f_k / 2 + f_(k+1) / 2, so samples of 1e308 give 1e308 times the
+    # result for ones, with no warning on the way
+    grid = UniformGrid(dt, n)
+    ones = frac_trapezoid(SampledSignal(grid, np.ones(n)), 0.5,
+                          method=method).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = frac_trapezoid(SampledSignal(grid, np.full(n, 1e308)), 0.5,
+                             method=method).values
+    np.testing.assert_allclose(out, 1e308 * ones,
+                               rtol=n * np.finfo(float).eps, atol=0.0)
 
 
 def test_trapezoid_examples():
@@ -656,20 +672,9 @@ def _engine_nodes(n, rng):
     return sorted(m for m in edges | set(_block_edge_nodes(n, rng)) if m < n)
 
 
-class _NewtonCotes(NamedTuple):
-    """A Newton-Cotes rule as the evaluator sees it."""
-
-    alpha: float
-    p: int
-    values: np.ndarray
-    far_field: tuple | None
-    head: np.ndarray
-
-
 def _engine_case(family, alpha, dt, n):
     if family in ("nc2", "nc3"):
-        p = int(family[2])
-        return _NewtonCotes(alpha, p, *_newton_cotes_rule(alpha, dt, n, p))
+        return _newton_cotes_rule(alpha, dt, n, int(family[2]))
     if family == "gl":
         return gl_weights(alpha, dt, n)
     if family == "nc0":
@@ -683,10 +688,11 @@ def _engine_case(family, alpha, dt, n):
 
 
 def _run(case, sig, method):
-    """Output of an ``_engine_case`` through its public entry point."""
-    if isinstance(case, _NewtonCotes):
-        return frac_newton_cotes(sig, case.alpha, case.p, method=method).values
-    return frac_integral(sig, case, method=method).values
+    """Output of an ``_engine_case``: weights through their public entry
+    point, a Newton-Cotes rule through the evaluator."""
+    if isinstance(case, WeightSequence):
+        return frac_integral(sig, case, method=method).values
+    return _evaluate(sig.values, case, method)
 
 
 def _mp_gl_weights(order, dt, n):
@@ -790,6 +796,51 @@ def test_fft_engine_causality_bitwise(family, alpha, n):
     assert not np.array_equal(out[3001:], alt[3001:])
 
 
+@pytest.mark.parametrize("rule", ["integral", "nc2", "trapezoid"])
+@pytest.mark.parametrize("n, value, dt", [
+    (5000, 1e305, 1e-6), (20000, 1e305, 1e-8), (65536, 1e304, 1e-6)])
+def test_fft_engine_state_keeps_large_samples(rule, n, value, dt):
+    # the engine's mode state sums samples unweighted, up to N max|f|, past
+    # binary64 here; the evaluator scales them by a power of two on the way
+    # in and out, so the output is the engine's on the samples scaled by
+    # 2^-40, scaled back, bit for bit, and within the direct path's bound
+    grid = UniformGrid(dt, n)
+
+    def run(values, method):
+        sig = SampledSignal(grid, values)
+        if rule == "integral":
+            return frac_integral(sig, gl_weights(0.5, dt, n),
+                                 method=method).values
+        if rule == "nc2":
+            return frac_newton_cotes(sig, 0.5, 2, method=method).values
+        return frac_trapezoid(sig, 0.5, method=method).values
+    f = np.full(n, value)
+    out = run(f, "fft")
+    assert np.array_equal(out, np.ldexp(run(np.ldexp(f, -40), "fft"), 40))
+    direct = run(f, "direct")
+    assert np.all(np.abs(out - direct)
+                  <= 1.5 * n * np.finfo(float).eps * direct)
+
+
+@pytest.mark.parametrize("dt", [1e-6, 1e-12])
+def test_fft_engine_state_scaling_with_tiny_samples(dt):
+    # 3000 samples of 1e-300 before 2000 of 1e305: the evaluator scales by
+    # 2^-27, which makes the tiny samples subnormal inside the engine; the
+    # outputs built from them lose precision, by up to a few subnormal
+    # steps 2^-1074 scaled back by 2^27, while the large samples' outputs
+    # keep the engine's bound
+    n, k = 5000, 27
+    f = np.r_[np.full(3000, 1e-300), np.full(2000, 1e305)]
+    sig = SampledSignal(UniformGrid(dt, n), f)
+    w = gl_weights(0.5, dt, n)
+    out = frac_integral(sig, w, method="fft").values
+    direct = frac_integral(sig, w, method="direct").values
+    err = np.abs(out - direct)
+    eps = np.finfo(float).eps
+    assert np.all(err <= n * eps * direct + n * 2.0**(k - 1074))
+    assert np.all(err[3000:] <= 1.5 * n * eps * direct[3000:])
+
+
 def test_fft_gl_forward_mirrors_backward_bitwise():
     rng = np.random.default_rng(41)
     grid = UniformGrid(0.01, 5000)
@@ -825,10 +876,10 @@ def test_fft_trapezoid_equals_full_length_weights_bitwise(n):
     # is that of the full-length sequence with its far field
     grid = UniformGrid(10.0 / n, n)
     f = np.random.default_rng(n).standard_normal(n)
-    averages = np.concatenate((0.5 * (f[:-1] + f[1:]), [0.0]))
+    averages = np.concatenate((0.5 * f[:-1] + 0.5 * f[1:], [0.0]))
     for alpha in (0.5, 0.3):
         c = nc0_weights(alpha, grid.dt, n)
-        want = _evaluate(averages, c.values, c.far_field, "fft", shift=True)
+        want = _evaluate(averages, c._rule, "fft")
         out = frac_trapezoid(SampledSignal(grid, f), alpha, method="fft")
         assert np.array_equal(out.values, want)
 
@@ -867,8 +918,8 @@ def test_far_field_only_for_orders_below_one():
         assert shape(w.far_field) == [(w.alpha, False)]
     flmm = weights_for_scheme(Scheme.FLMM_TRAP, 0.7, dt, n)
     assert shape(flmm.far_field) == [(0.7, False), (-0.7, True)]
-    assert _newton_cotes_rule(1.0, dt, 301, 3)[1] is None
-    nc3 = _newton_cotes_rule(0.7, dt, 301, 3)[1]
+    assert _newton_cotes_rule(1.0, dt, 301, 3).far is None
+    nc3 = _newton_cotes_rule(0.7, dt, 301, 3).far
     assert shape(nc3) == [(0.7, False), (0.7, True)]
 
 
@@ -955,8 +1006,9 @@ def test_modes_match_mpmath_weights(family, alpha, n):
             exact = [lambda k: ((k + 1)**a - mpmath.mpf(k)**a)
                      / mpmath.gamma(a + 1)]
         elif family in ("nc2", "nc3"):
-            exact = _mp_newton_cotes_terms(w.p, a)
+            exact = _mp_newton_cotes_terms(int(family[2]), a)
         else:
             exact = _mp_flmm_terms(a)
-        errs = _mode_rel_errors(w.far_field, n, exact)
+        far = (w._rule if isinstance(w, WeightSequence) else w).far
+        errs = _mode_rel_errors(far, n, exact)
         assert max(errs) <= _MODE_SHARE * n * eps, errs
