@@ -293,12 +293,13 @@ def _parse_omega_range(spec: str, log_spacing: bool) -> np.ndarray:
 def _parse_modes(spec: str) -> tuple[tuple[float, float, float], ...]:
     modes = []
     for chunk in spec.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
+        try:
+            weight, omega, gamma = map(float, chunk.split(":"))
+        except ValueError as exc:
             raise _UsageError(
                 f"each mode must be 'weight:omega:gamma', got {chunk!r}"
-            )
-        modes.append(tuple(float(p) for p in parts))
+            ) from exc
+        modes.append((weight, omega, gamma))
     return tuple(modes)
 
 

@@ -87,6 +87,8 @@ def _power_rule(t: float, q: float, order: float) -> float:
 
 def exact_integral_const(t: float, alpha: float, c: float = 1.0) -> float:
     """Fractional integral of the constant ``c``: ``c t^alpha / Gamma(alpha+1)``."""
+    if not math.isfinite(c):
+        raise DomainError(f"requires finite c, got {c!r}")
     value = exact_integral_monomial(t, alpha, 0.0)
     return c * value if t else value  # 0.0 at t = 0 for every c
 
@@ -156,6 +158,9 @@ def exact_derivative_sin(t: float, omega0: float, alpha: float) -> float:
     whole-line operator, hence the large-t asymptote of grid evaluations
     started at t = 0.
     """
+    if not all(map(math.isfinite, (t, omega0, alpha))):
+        raise DomainError(f"requires finite t, omega0 and alpha, got "
+                          f"{t!r}, {omega0!r}, {alpha!r}")
     return abs(omega0)**alpha * math.sin(omega0 * t + 0.5 * math.pi * alpha)
 
 
@@ -185,8 +190,8 @@ def brute_force_rl(
         If the refinement budget (2^20 evaluations) runs out, or panels
         reach floating-point resolution, before ``tol`` is met.
     """
-    if not t >= 0.0:
-        raise DomainError(f"requires t >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"requires finite t >= 0, got {t!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"requires alpha in (0, 1), got {alpha!r}")
     if not tol >= 1e-12:

@@ -144,7 +144,9 @@ def frac_integral(
         sum-of-exponentials engine: O(N (L + M)), bitwise causal, within
         a quarter of that bound as measured, and the same as ``direct``
         for weights without an integral form (integer orders, orders of 1
-        and above) or signals shorter than the engine's cutoff.
+        and above) or signals shorter than the engine's cutoff.  Below
+        2^-1022 rounding is absolute: both bounds gain ``N 2^-1074``, and
+        ``fft``'s ``2^-1066 |f_k|`` per subnormal weight ``w_(n-k)``.
     starting_degree : int, optional
         When given, add the polynomial-exactness corrections of this degree
         (weights attached to the first ``starting_degree + 1`` nodes).

@@ -166,21 +166,13 @@ def _engine_runs(n: int, far: _Terms | None) -> bool:
 
 
 def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
-    """``rule`` on ``f``: direct, or under ``fft`` the engine where it runs,
-    on g 2^-k with its output scaled back by 2^k, k > 0 only where its
-    unweighted state, up to N max|g|, would reach 2^1000.  With k > 0
-    samples below 2^(k-1022) turn subnormal: outputs built from them lose
-    precision and are not bitwise causal, k following max|g|."""
+    """``rule`` on ``f``: direct, or under ``fft`` the engine where it runs."""
     if method not in ("direct", "fft"):
         raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
     g = np.concatenate(([0.0], f[:-1])) if rule.shift else f
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "fft" and _engine_runs(len(g), rule.far):
-            k = max(0, len(g).bit_length() - 1000
-                    + math.frexp(max(g.max(), -g.min()))[1])
-            out = _causal_conv_modes(np.ldexp(g, -k) if k else g,
-                                     rule.values, rule.far)
-            out = np.ldexp(out, k) if k else out
+            out = _causal_conv_modes(g, rule.values, rule.far)
         else:
             out = _causal_conv_direct(g, rule.values)
         if rule.head is not None:
@@ -194,11 +186,14 @@ def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
     bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term: block
     lags 0 and 1 of :func:`_blocked` exact, older rows F through M
     same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
-    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b."""
+    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b.  Mode
+    m keeps S in units of 2^min(e_m, 0), |c_m| in [2^(e_m-1), 2^e_m), not of
+    the samples: below N max|f| and about 2 (|f| * |w|)_n, finite with it."""
     u, c, alternating = _modes(far, len(f))
     f_rows, out = _blocked(f, values, 2)
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
-    into, out_of = decay[:0:-1].copy(), c * decay[:-1]
+    scale = np.ldexp(1.0, np.minimum(np.frexp(c)[1], 0))
+    into, out_of = decay[:0:-1] * scale, c / scale * decay[:-1]
     into[1::2, alternating] *= -1.0  # (-1)^(L - s + r) on those modes, L even
     out_of[1::2, alternating] *= -1.0
     state = np.zeros((len(f_rows), len(u)))

@@ -329,6 +329,7 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("dielectric", "--omega-range", "0:10:5", "--log-omega"), None, 2),
     (("dielectric", "--omega-range", "inf:10:5"), None, 1),
     (("dielectric", "--model", "lorentz", "--modes", "1:1"), None, 2),
+    (("dielectric", "--model", "lorentz", "--modes", "a:1:0.1"), None, 2),
     (("dielectric", "--model", "lorentz"), None, 2),
     (("dielectric", "--time-domain", "--n-exp", "0.3,0.5"), None, 2),
     (("dielectric", "--n-exp", "0.3,0.5"), None, 2),

@@ -40,30 +40,56 @@ def _cases(draw):
     return p, alpha, n | 1 if p == 3 else n
 
 
+#: Two segments of magnitudes 10^e: the split and the two exponents.
+_PROFILES = st.tuples(st.integers(0, 6000), st.integers(-308, 305),
+                      st.integers(-308, 305))
+
+
 @hypothesis.settings(max_examples=25, deadline=None)
-@hypothesis.given(case=_cases(), seed=st.integers(0, 2**32 - 1))
-def test_fft_within_direct_bound(case, seed):
+@hypothesis.given(case=_cases(), seed=st.integers(0, 2**32 - 1),
+                  profile=_PROFILES, dt=st.sampled_from([1e-2, 1e-6, 1e-12]))
+# tiny samples before huge ones: the first outputs keep the bound and do
+# not depend on the later samples
+@hypothesis.example(case=("gl", 0.5, 5000), seed=0, profile=(3000, -300, 305),
+                    dt=1e-12)
+def test_fft_within_direct_bound(case, seed, profile, dt):
     # both paths are within N eps (|f| * |w|)_n of the exact sum (the engine
     # a fraction of it), so they differ by at most 1.5 N eps (|f| * |w|)_n,
-    # the head columns' terms included
+    # the head columns' terms included, plus what binary64 rounds absolutely
+    # below 2^-1022: N 2^-1074 for the products, and 2^-1066 per subnormal
+    # weight, which the engine's up to 255 modes stand in for, each off by
+    # up to 2^-1075; and the engine is bitwise causal: outputs before the
+    # split keep their bits when later samples change
     rule, alpha, n = case
     rng = np.random.default_rng(seed)
-    grid = UniformGrid(0.01, n)
-    sig = SampledSignal(grid, rng.standard_normal(n))
+    grid = UniformGrid(dt, n)
     if rule in ("gl", "flmm"):
-        w = (gl_weights(alpha, grid.dt, n) if rule == "gl" else
-             weights_for_scheme(Scheme.FLMM_TRAP, alpha, grid.dt, n))
-        head = np.zeros((n, 0))
-        fft, direct = (frac_integral(sig, w, method=m).values
-                       for m in ("fft", "direct"))
-        w = w.values
+        weights = (gl_weights(alpha, dt, n) if rule == "gl" else
+                   weights_for_scheme(Scheme.FLMM_TRAP, alpha, dt, n))
+        w, head = weights.values, np.zeros((n, 0))
+
+        def run(values, method):
+            return frac_integral(SampledSignal(grid, values), weights,
+                                 method=method).values
     else:
-        nc = _newton_cotes_rule(alpha, grid.dt, n, rule)
+        nc = _newton_cotes_rule(alpha, dt, n, rule)
         w, head = nc.values, nc.head
-        fft, direct = (frac_newton_cotes(sig, alpha, rule, method=m).values
-                       for m in ("fft", "direct"))
-    f = np.abs(sig.values)
-    for m in rng.integers(0, n, 8):
-        scale = (np.dot(f[: m + 1], np.abs(w[m::-1]))
-                 + np.dot(np.abs(head[m]), f[: head.shape[1]]))
-        assert abs(fft[m] - direct[m]) <= 1.5 * n * np.finfo(float).eps * scale
+
+        def run(values, method):
+            return frac_newton_cotes(SampledSignal(grid, values), alpha, rule,
+                                     method=method).values
+    # magnitudes capped where (|f| * |w|)_n could leave binary64
+    top = max(1.0, np.abs(w).sum() + np.abs(head).sum(axis=1).max(initial=0))
+    split, low, high = min(profile[0], n), profile[1], profile[2]
+    f = rng.standard_normal(n)
+    f[:split] *= min(10.0**low, 1e305 / top)
+    f[split:] *= min(10.0**high, 1e305 / top)
+    fft, direct = run(f, "fft"), run(f, "direct")
+    scale = (np.convolve(np.abs(f), np.abs(w))[:n]
+             + np.abs(head) @ np.abs(f[: head.shape[1]]))
+    tiny = np.convolve(np.abs(f), np.abs(w) < 2.0**-1022)[:n]
+    assert np.all(np.abs(fft - direct)
+                  <= 1.5 * n * np.finfo(float).eps * scale
+                  + n * 2.0**-1074 + tiny * 2.0**-1066)
+    later = np.r_[f[:split], rng.standard_normal(n - split)]
+    assert np.array_equal(run(later, "fft")[:split], fft[:split])

@@ -11,8 +11,9 @@ from fracquad.dielectric import (DebyeModel, LorentzEnsemble,
                                  fractional_polarization,
                                  lorentz_susceptibility)
 from fracquad.exceptions import AlignmentError, DomainError
-from fracquad.oracle import (exact_derivative_exp, exact_integral_exp,
-                             exact_integral_monomial)
+from fracquad.oracle import (brute_force_rl, exact_derivative_exp,
+                             exact_derivative_sin, exact_integral_const,
+                             exact_integral_exp, exact_integral_monomial)
 from fracquad.quadrature import (SampledSignal, UniformGrid, frac_integral,
                                  frac_newton_cotes, frac_trapezoid)
 from fracquad.special import gamma
@@ -33,6 +34,10 @@ def _ones(n):
     (lambda: exact_integral_monomial(-1.0, 0.5, 1.0), DomainError, "t >= 0"),
     (lambda: exact_derivative_exp(1.0, 1.5), DomainError, "(0, 1)"),
     (lambda: exact_derivative_exp(-1.0, 0.5), DomainError, "t >= 0"),
+    (lambda: exact_derivative_sin(math.inf, 1.0, 0.5), DomainError, "finite"),
+    (lambda: exact_derivative_sin(1.0, math.nan, 0.5), DomainError, "finite"),
+    (lambda: exact_integral_const(1.0, 0.5, math.nan), DomainError, "finite"),
+    (lambda: brute_force_rl(math.sin, math.inf, 0.5), DomainError, "finite"),
     (lambda: frac_integral(_ones(3), gl_weights(0.5, 0.5, 3),
                            starting_degree=3), DomainError, "too short"),
     (lambda: frac_trapezoid(_ones(1), 0.5), DomainError, "2 samples"),
@@ -46,6 +51,8 @@ def _ones(n):
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
         "integral-exp-negative-t", "integral-monomial-negative-t",
         "derivative-exp-order", "derivative-exp-negative-t",
+        "derivative-sin-inf-t", "derivative-sin-nan-omega",
+        "integral-const-nan-c", "brute-force-inf-t",
         "starting-degree-3-on-3-samples", "trapezoid-one-sample",
         "newton-cotes-two-samples", "gamma-inf", "scheme-by-name",
         "starting-derivative-weights"])

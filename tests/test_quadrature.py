@@ -800,9 +800,9 @@ def test_fft_engine_causality_bitwise(family, alpha, n):
 @pytest.mark.parametrize("n, value, dt", [
     (5000, 1e305, 1e-6), (20000, 1e305, 1e-8), (65536, 1e304, 1e-6)])
 def test_fft_engine_state_keeps_large_samples(rule, n, value, dt):
-    # the engine's mode state sums samples unweighted, up to N max|f|, past
-    # binary64 here; the evaluator scales them by a power of two on the way
-    # in and out, so the output is the engine's on the samples scaled by
+    # the engine's mode state sums samples, up to N max|f|, past binary64
+    # here unless each mode keeps it in units of a power of two near its
+    # coefficient; the output is then the engine's on the samples scaled by
     # 2^-40, scaled back, bit for bit, and within the direct path's bound
     grid = UniformGrid(dt, n)
 
@@ -824,21 +824,22 @@ def test_fft_engine_state_keeps_large_samples(rule, n, value, dt):
 
 @pytest.mark.parametrize("dt", [1e-6, 1e-12])
 def test_fft_engine_state_scaling_with_tiny_samples(dt):
-    # 3000 samples of 1e-300 before 2000 of 1e305: the evaluator scales by
-    # 2^-27, which makes the tiny samples subnormal inside the engine; the
-    # outputs built from them lose precision, by up to a few subnormal
-    # steps 2^-1074 scaled back by 2^27, while the large samples' outputs
-    # keep the engine's bound
-    n, k = 5000, 27
+    # 3000 samples of 1e-300 before 2000 of 1e305: the engine's state scale
+    # comes from the rule, not the samples, so every node keeps the bound of
+    # test_fft_within_direct_bound, and the first 3000 outputs keep their
+    # bits when the later samples change
+    n = 5000
     f = np.r_[np.full(3000, 1e-300), np.full(2000, 1e305)]
-    sig = SampledSignal(UniformGrid(dt, n), f)
+    grid = UniformGrid(dt, n)
     w = gl_weights(0.5, dt, n)
-    out = frac_integral(sig, w, method="fft").values
-    direct = frac_integral(sig, w, method="direct").values
-    err = np.abs(out - direct)
-    eps = np.finfo(float).eps
-    assert np.all(err <= n * eps * direct + n * 2.0**(k - 1074))
-    assert np.all(err[3000:] <= 1.5 * n * eps * direct[3000:])
+    out = frac_integral(SampledSignal(grid, f), w, method="fft").values
+    direct = frac_integral(SampledSignal(grid, f), w).values
+    scale = np.convolve(np.abs(f), np.abs(w.values))[:n]
+    assert np.all(np.abs(out - direct)
+                  <= 1.5 * n * np.finfo(float).eps * scale)
+    later = frac_integral(SampledSignal(grid, np.r_[f[:3000], np.ones(2000)]),
+                          w, method="fft").values
+    assert np.array_equal(out[:3000], later[:3000])
 
 
 def test_fft_gl_forward_mirrors_backward_bitwise():
