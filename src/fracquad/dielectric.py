@@ -138,6 +138,14 @@ def _finite(omega) -> np.ndarray:
     return omega
 
 
+def _result(chi: np.ndarray, model: str, pole=False):
+    """``chi``, a complex for a scalar omega; a cell past binary64, other
+    than a warned pole, raises DomainError naming the susceptibility."""
+    if not np.all(np.isfinite(chi) | pole):
+        raise DomainError(f"{model} susceptibility leaves the binary64 range")
+    return chi if chi.ndim else complex(chi)
+
+
 def universal_susceptibility(model: UniversalResponse, omega,
                              scale: float = 1.0):
     """Power-law susceptibility ``scale * (j omega)^(n-1)``.
@@ -154,16 +162,18 @@ def universal_susceptibility(model: UniversalResponse, omega,
     n = model.n_exp
     phase = complex(math.cos(0.5 * math.pi * (1.0 - n)),
                     math.sin(0.5 * math.pi * (1.0 - n)))
-    chi = scale * omega**(n - 1.0) * phase
-    return chi if chi.ndim else complex(chi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = scale * omega**(n - 1.0) * phase
+    return _result(chi, "universal")
 
 
 def debye_susceptibility(model: DebyeModel, omega):
     """Debye susceptibility ``(1/eps0) N a tau / (1 - j omega tau)``."""
     omega = _finite(omega)
     static = model.n_density * model.a_coupling * model.tau / model.eps0
-    chi = static / (1.0 - 1j * omega * model.tau)
-    return chi if chi.ndim else complex(chi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = static / (1.0 - 1j * omega * model.tau)
+    return _result(chi, "Debye")
 
 
 def lorentz_susceptibility(model: LorentzEnsemble, omega):
@@ -176,14 +186,18 @@ def lorentz_susceptibility(model: LorentzEnsemble, omega):
     omega = _finite(omega)
     if np.any(omega < 0.0):
         raise DomainError("omega must be >= 0")
-    prefactor = (model.n_density * model.electron_charge**2
+    prefactor = (model.n_density
+                 * (model.electron_charge * model.electron_charge)
                  / (model.eps0 * model.electron_mass))
     chi = np.zeros(omega.shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    pole = np.zeros(omega.shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for mode in model.modes:
-            denom = (mode.omega**2 - omega**2) - 1j * mode.damping * omega
+            denom = ((mode.omega * mode.omega - omega * omega)
+                     - 1j * mode.damping * omega)
             near = np.abs(omega - mode.omega) < mode.damping / 100.0
             at_pole = denom == 0.0
+            pole |= at_pole
             if np.any(near) or np.any(at_pole):
                 warnings.warn(
                     f"evaluation within gamma/100 of the resonance at "
@@ -196,7 +210,7 @@ def lorentz_susceptibility(model: LorentzEnsemble, omega):
                             mode.weight / np.where(at_pole, 1.0, denom))
             chi = chi + term
         chi = prefactor * chi
-    return chi if chi.ndim else complex(chi)
+    return _result(chi, "Lorentz", pole)
 
 
 def fractional_polarization(
@@ -225,9 +239,10 @@ def fractional_polarization(
 
 def _time_grid(dt: float, t_end: float) -> UniformGrid:
     """The grid of step ``dt`` whose last node is nearest ``t_end``."""
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
-        raise DomainError(f"dt and t_end must be positive and finite, got "
-                          f"dt={dt!r}, t_end={t_end!r}")
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf
+            and t_end / dt < math.inf):
+        raise DomainError(f"dt and t_end must be positive and finite, with a "
+                          f"finite ratio, got dt={dt!r}, t_end={t_end!r}")
     return UniformGrid(dt, int(round(t_end / dt)) + 1)
 
 
@@ -273,7 +288,7 @@ def verify_universal_ratio(
                           f"got {omega0!r}")
     grid = _time_grid(dt, t_end)
     t = grid.nodes
-    field = SampledSignal(grid, np.sin(omega0 * t))
+    field = SampledSignal.sample(lambda u: np.sin(omega0 * u), grid)
     pol = fractional_polarization(field, alpha, scheme=scheme, method="fft")
 
     window = t >= 0.75 * t_end
@@ -289,8 +304,8 @@ def verify_universal_ratio(
     if rank < design.shape[1] or sv[0] > 1e8 * sv[-1]:
         raise FitError(
             f"sinusoid fit over {len(tw)} samples is rank-deficient or "
-            f"ill-conditioned (rank {rank}, singular values {sv[0]:.3g} "
-            f"down to {sv[-1]:.3g})"
+            f"ill-conditioned (rank {rank}, singular values "
+            f"{max(sv, default=0.0):.3g} down to {min(sv, default=0.0):.3g})"
         )
     a_sin, b_cos = coef[0], coef[1]
     amplitude = math.hypot(a_sin, b_cos)

@@ -13,7 +13,8 @@ Riemann-Liouville rule, :func:`_power_rule`, with ``nu = -alpha`` for
 Each takes t = 0 and returns its t -> 0+ limit, the powers' from the power
 rule alone: 0 for the integrals, inf for ``D^alpha[e^u]``, and for
 ``D^alpha[u^q]`` 0 above q = alpha, Gamma(q+1) at it, and below it signed
-inf, or 0 on a pole.
+inf, or 0 on a pole.  Past binary64 each raises one DomainError naming
+itself and its arguments; below the subnormal range it returns a signed 0.
 
 On over 11 800 points per oracle, 40-digit mpmath puts the power rule within
 0.89 and the exp oracles within 0.39 of their property tests' bounds, the
@@ -30,11 +31,12 @@ comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 from .exceptions import DomainError, ToleranceNotMet
-from .special import _log_p, gamma, lower_incomplete_gamma
+from .special import _lgamma, _log_p, gamma, lower_incomplete_gamma
 
 __all__ = [
     "exact_integral_const",
@@ -50,12 +52,37 @@ _MAX_ORACLE_EVALS = 1 << 20
 _NORMAL_MIN = 2.0**-1022
 
 
+def _reference(fn):
+    """``fn`` on floats; past binary64 (an ``OverflowError`` inside, or a
+    value not finite nor a t = 0 limit) a DomainError naming the call."""
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+
+    @functools.wraps(fn)
+    def reference(*args, **kwargs):
+        if kwargs:  # by position: t first, and every argument in the message
+            args += tuple(kwargs.pop(k) for k in names[len(args):]
+                          if k in kwargs)
+        args = [a if callable(a) else float(a) for a in args]
+        try:
+            value = fn(*args, **kwargs)
+            if abs(value) < math.inf or (abs(value) == math.inf
+                                         and args[:1] == [0.0]):
+                return value  # finite, or a documented limit at t = 0
+        except (OverflowError, ZeroDivisionError):  # 0^-alpha: inf
+            pass
+        shown = ", ".join("f" if callable(a) else repr(a) for a in args)
+        raise DomainError(f"{fn.__name__}({shown}) leaves the binary64 range")
+    return reference
+
+
 def _power_rule(t: float, q: float, order: float) -> float:
-    """``Gamma(q+1) / Gamma(x) t^(q+order)``, ``x = q + 1 + order``, for q >= 0
-    and t >= 0; at t = 0 its t -> 0+ limit, 0, the ratio or signed inf.
+    """``Gamma(q+1) / Gamma(x) t^(q+order)``, ``x = q + 1 + order``, for finite
+    q, t >= 0; at t = 0 its t -> 0+ limit, 0, the ratio or signed inf.
     Left of 1/2 by reflection about the nearest integer -n, at a distance d
     rounded once, so only an exact pole gives 0; past the normal range by
-    one exponential, which overflows only past binary64."""
+    one exponential, 0 if only lgamma(x) overflows."""
+    if not (0.0 <= t < math.inf and 0.0 <= q < math.inf):
+        raise DomainError(f"requires finite t >= 0, q >= 0, got {t!r}, {q!r}")
     x = math.fsum((q, 1.0, order))
     s = 1.0
     if x < 0.5:  # 1/Gamma(x) = s Gamma(1 - x), s = (-1)^n sin(pi d) / pi
@@ -82,21 +109,24 @@ def _power_rule(t: float, q: float, order: float) -> float:
         pass
     return math.copysign(math.exp(math.lgamma(q + 1.0) + (
         math.lgamma(-(q + order)) + math.log(abs(s)) if x < 0.5
-        else -math.lgamma(x)) + (q + order) * math.log(t)), s)
+        else -_lgamma(x)) + (q + order) * math.log(t)), s)
 
 
+@_reference
 def exact_integral_const(t: float, alpha: float, c: float = 1.0) -> float:
     """Fractional integral of the constant ``c``: ``c t^alpha / Gamma(alpha+1)``."""
     if not math.isfinite(c):
         raise DomainError(f"requires finite c, got {c!r}")
-    value = exact_integral_monomial(t, alpha, 0.0)
+    value = exact_integral_monomial.__wrapped__(t, alpha, 0.0)
     return c * value if t else value  # 0.0 at t = 0 for every c
 
 
+@_reference
 def exact_integral_exp(t: float, alpha: float) -> float:
     """Fractional integral of ``e^u``: ``e^t gamma_lower(t, alpha) / Gamma(alpha)``."""
-    if not t >= 0.0:
-        raise DomainError(f"requires t >= 0, got {t!r}")
+    if not (0.0 <= t < math.inf and 0.0 < alpha < math.inf):
+        raise DomainError(f"requires finite t >= 0, alpha > 0, got {t!r}, "
+                          f"{alpha!r}")
     if t == 0.0:
         return 0.0
     try:
@@ -111,17 +141,15 @@ def exact_integral_exp(t: float, alpha: float) -> float:
     return value
 
 
+@_reference
 def exact_integral_monomial(t: float, alpha: float, q: float) -> float:
     """Fractional integral of ``u^q``: ``Gamma(q+1)/Gamma(q+1+alpha) t^(q+alpha)``."""
-    if not t >= 0.0:
-        raise DomainError(f"requires t >= 0, got {t!r}")
-    if not 0.0 <= q < math.inf:
-        raise DomainError(f"requires finite q >= 0, got {q!r}")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 0, got {alpha!r}")
     return _power_rule(t, q, alpha)
 
 
+@_reference
 def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
     """Fractional derivative of ``u^q``: ``Gamma(q+1)/Gamma(q+1-alpha) t^(q-alpha)``.
 
@@ -129,15 +157,12 @@ def exact_derivative_monomial(t: float, alpha: float, q: float) -> float:
     (the classical derivative of a lower-degree polynomial); at t = 0 the
     t -> 0+ limit: 0 above q = alpha, ``Gamma(q+1)`` at it, signed inf below.
     """
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"requires finite t >= 0, got {t!r}")
-    if not 0.0 <= q < math.inf:
-        raise DomainError(f"requires finite q >= 0, got {q!r}")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 0, got {alpha!r}")
     return _power_rule(t, q, -alpha)
 
 
+@_reference
 def exact_derivative_exp(t: float, alpha: float) -> float:
     """Fractional derivative of ``e^u`` for orders in (0, 1).
 
@@ -146,11 +171,11 @@ def exact_derivative_exp(t: float, alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"closed form covers alpha in (0, 1), got {alpha!r}")
-    if not t >= 0.0:
-        raise DomainError(f"requires t >= 0, got {t!r}")
-    return exact_integral_exp(t, 1.0 - alpha) + _power_rule(t, 0.0, -alpha)
+    exp_integral = exact_integral_exp.__wrapped__  # named as this call
+    return exp_integral(t, 1.0 - alpha) + _power_rule(t, 0.0, -alpha)
 
 
+@_reference
 def exact_derivative_sin(t: float, omega0: float, alpha: float) -> float:
     """Fourier-rule fractional derivative of ``sin(omega0 u)``.
 
@@ -161,9 +186,13 @@ def exact_derivative_sin(t: float, omega0: float, alpha: float) -> float:
     if not all(map(math.isfinite, (t, omega0, alpha))):
         raise DomainError(f"requires finite t, omega0 and alpha, got "
                           f"{t!r}, {omega0!r}, {alpha!r}")
-    return abs(omega0)**alpha * math.sin(omega0 * t + 0.5 * math.pi * alpha)
+    phase = omega0 * t + 0.5 * math.pi * alpha
+    if abs(phase) == math.inf:  # omega0 t or pi alpha / 2 past binary64
+        raise OverflowError
+    return abs(omega0)**alpha * math.sin(phase)
 
 
+@_reference
 def brute_force_rl(
     f: Callable[[float], float],
     t: float,
@@ -239,6 +268,8 @@ def _simpson_recurse(g, a, b, fa, fm, fb, whole, tol, budget, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
+    if not abs(delta) < math.inf:  # a non-finite integrand value
+        raise OverflowError
     if depth >= _MIN_BISECTION_DEPTH and abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     half = 0.5 * tol

@@ -35,6 +35,7 @@ from .exceptions import (
 from .special import gamma
 from .weights import (
     _BLOCK,
+    _MAX_COUNT,
     WeightSequence,
     _engine_runs,
     _evaluate,
@@ -65,8 +66,9 @@ class UniformGrid:
         if not 0.0 < self.dt < math.inf:
             raise DomainError(f"grid step must be positive and finite, "
                               f"got {self.dt!r}")
-        if self.n < 1:
-            raise DomainError(f"grid needs >= 1 node, got {self.n}")
+        if not 1 <= self.n <= _MAX_COUNT:
+            raise DomainError(f"grid needs 1 to {_MAX_COUNT} nodes, "
+                              f"got {self.n}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -100,7 +102,11 @@ class SampledSignal:
     @classmethod
     def sample(cls, f: Callable[[np.ndarray], np.ndarray],
                grid: UniformGrid) -> "SampledSignal":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
+        """``f`` on the nodes; an overflowing or NaN sample is reported once,
+        by the finiteness check, not also by a numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(f(grid.nodes), dtype=float)
+        return cls(grid, values)
 
     def replace_values(self, values: np.ndarray,
                        result: str = "result") -> "SampledSignal":

@@ -13,7 +13,7 @@ The lower incomplete gamma function uses the positive-term series
 
     gamma_lower(t, a) = e^-t t^a sum_{n>=0} t^n / (a (a+1) ... (a+n))
 
-for ``t < a + 1`` and ``Gamma(a)`` minus a Lentz continued fraction for the
+for ``t - a < 1`` and ``Gamma(a)`` minus a Lentz continued fraction for the
 upper tail otherwise (the Numerical Recipes ``gser``/``gcf`` split).  The
 series is within ``eps max(m, 16)`` relative, m its term count.  The
 continued fraction subtracts a tail of up to half of ``Gamma(a)`` (near
@@ -25,6 +25,8 @@ A result past binary64 raises ``OverflowError`` on either branch.  Once
 ``Gamma(a)`` itself overflows (a > 171.62), the continued fraction returns
 ``exp(lgamma(a) + log P(a, t))``, P = gamma_lower / Gamma, through
 :func:`_log_p`: the one log-space route, from either branch's sum or tail.
+``OverflowError`` stays this module's signal: the oracles catch it and
+raise a ``DomainError`` that names the reference.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+def _lgamma(x: float) -> float:
+    """``math.lgamma``, or inf past binary64 (x above about 2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def lower_incomplete_gamma(t: float, alpha: float) -> float:
     """Lower incomplete gamma function ``integral_0^t u^(alpha-1) e^-u du``.
 
@@ -77,7 +87,7 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
     if t == 0.0:
         return 0.0
     try:
-        if t < alpha + 1.0:
+        if t - alpha < 1.0:  # not t < alpha + 1, which rounds past 2^53
             total = _series_sum(t, alpha)
             try:
                 value = total * t**alpha * math.exp(-t)
@@ -102,15 +112,15 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
 def _log_p(t: float, alpha: float) -> float:
     """``log P(alpha, t)``, P = gamma_lower(t, alpha) / Gamma(alpha), for
     t > 0 and a normal alpha, from the branch's sum or upper tail."""
-    if t < alpha + 1.0:
+    if t - alpha < 1.0:
         return (math.log(_series_sum(t, alpha)) + alpha * math.log(t) - t
-                - math.lgamma(alpha))
+                - _lgamma(alpha))
     return math.log1p(-math.exp(_log_upper_tail(t, alpha)
                                 - math.lgamma(alpha)))
 
 
 def _series_sum(t: float, alpha: float) -> float:
-    """``sum_n t^n / (alpha (alpha+1) ... (alpha+n))``, for t < alpha + 1."""
+    """``sum_n t^n / (alpha (alpha+1) ... (alpha+n))``, for t - alpha < 1."""
     # all terms positive and decreasing once alpha + n > t (from the first)
     term = 1.0 / alpha
     total = term
@@ -127,7 +137,7 @@ def _series_sum(t: float, alpha: float) -> float:
 
 def _log_upper_tail(t: float, alpha: float) -> float:
     """``log Gamma(alpha, t)`` by the modified Lentz continued fraction
-    (Numerical Recipes gcf), for t >= alpha + 1."""
+    (Numerical Recipes gcf), for t - alpha >= 1."""
     tiny = 1e-300
     b, c = t + 1.0 - alpha, 1.0 / tiny
     d = h = 1.0 / b

@@ -117,6 +117,8 @@ class WeightSequence:
         return _Rule(self.values, self.far_field, None, self.scheme.panel_based)
 
 
+#: The most nodes or weights numpy can index.
+_MAX_COUNT = np.iinfo(np.intp).max
 #: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
 #: call is faster (measured crossover 0.9-1.2e3 samples).
 _BLOCK = 128
@@ -282,6 +284,8 @@ def _validate_common(alpha: float, dt: float, n: int,
                           f"got {dt!r}")
     if n < 1:
         raise DomainError(f"weight count must be >= 1, got {n}")
+    if n > _MAX_COUNT:
+        raise DomainError(f"weight count must be <= {_MAX_COUNT}, got {n}")
     if panel_rule and not (alpha > 0.0 and max(
             -math.log(alpha), alpha * math.log(2.0 * n * max(dt, 1.0))) < 700
             and math.lgamma(alpha + 1.0) < 700):
@@ -393,7 +397,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
         _validate_common(alpha, dt, n)
         b = gl_weights(alpha, 1.0, n)  # also rejects order 0
         alpha, k = b.alpha, np.arange(1.0, n)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             a = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
             values = _evaluate(a, b._rule, "fft") * np.float64(dt / 2)**alpha
             scale = np.float64(dt)**alpha

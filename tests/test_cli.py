@@ -323,7 +323,6 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("integrate", "--f", "exp", "--t-end", "1", "--n", "1"), None, 2),
     (("integrate", "--f", "bogus", "--t-end", "1", "--n", "5"), None, 2),
     ((*_CONVERGE, "1", "--n-list", "4,8"), None, 2),
-    ((*_CONVERGE, "800", "--n-list", "3,5,9"), None, 1),  # OverflowError
     (("dielectric", "--omega-range", "1:2"), None, 2),
     (("dielectric", "--omega-range", "1:2:0"), None, 2),
     (("dielectric", "--omega-range", "0:10:5", "--log-omega"), None, 2),
@@ -365,6 +364,88 @@ def test_error_paths_one_stderr_line(capsys, tmp_path, argv, csv, code):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1
+
+
+_PAST_BINARY64 = [
+    ((*_CONVERGE, "800", "--n-list", "3,5,9"),
+     "exact_integral_exp(800.0, 0.5) leaves"),
+    (("convergence", "--f", "const", "--alpha", "0.5", "--c", "1e300",
+      "--t-probe", "1e300", "--n-list", "3,5,9"),
+     "exact_integral_const(1e+300, 0.5, 1e+300) leaves"),
+    (("differentiate", "--f", "sin", "--omega0", "1e300", "--alpha", "1.5",
+      "--t-end", "1", "--n", "5"), "exact_derivative_sin(0.0, 1e+300, 1.5)"),
+    (("differentiate", "--f", "const", "--alpha", "1.5", "--c", "1e-310",
+      "--t-end", "1e-310", "--n", "5", "--route", "rl"),
+     "exact_derivative_monomial(2.5e-311, 1.5, 0.0) leaves"),
+    (("convergence", "--f", "sin", "--alpha", "0.5", "--omega0", "1.7e308",
+      "--t-probe", "7", "--n-list", "3,5,9"),
+     "brute_force_rl(f, 7.0, 0.5, 1e-10) leaves"),
+    ((*_CONVERGE[:4], "1e154", "--t-probe", "1e154", "--n-list", "3,5,9"),
+     "incomplete gamma series failed to converge"),
+    ((*_CONVERGE, "1", "--n-list", "3,5,900000000000000000000"),
+     "grid needs 1 to"),
+    (("coeffs", "--scheme", "flmm-trap", "--alpha", "1e-160", "--dt",
+      "5e-324", "--count", "1", "--derivative"), "weights of order"),
+    (("coeffs", "--scheme", "gl", "--alpha", "0.5", "--dt", "1", "--count",
+      "900000000000000000000"), "weight count must be <="),
+    (("dielectric", "--model", "debye", "--tau", "1e300", "--a-coupling",
+      "1e300", "--omega-range", "1:2:2"), "Debye susceptibility leaves"),
+    (("dielectric", "--model", "universal", "--omega-range", "1e-310:800:3",
+      "--n-exp", "1e-20", "--scale", "2"), "universal susceptibility leaves"),
+    (("dielectric", "--model", "lorentz", "--modes", "1:5:0.1", "--eps0",
+      "1e-300", "--n-density", "1e20", "--omega-range", "1:2:2"),
+     "Lorentz susceptibility leaves"),
+    (("dielectric", "--time-domain", "--n-exp", "0.5", "--dt", "1",
+      "--t-end", "4", "--omega0", "1e308"), "samples must all be finite"),
+    (("dielectric", "--time-domain", "--dt", "5e-324", "--t-end", "1e300"),
+     "finite ratio"),
+    (("dielectric", "--omega-range=1.7e308:-1.7e308:4"),
+     "--omega-range endpoints and their span must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, name", _PAST_BINARY64,
+                         ids=[" ".join(argv) for argv, _ in _PAST_BINARY64])
+def test_past_binary64_names_itself(capsys, argv, name):
+    # one typed error line naming the reference, susceptibility, signal or
+    # count that left binary64 or numpy's index range, with no numpy
+    # RuntimeWarning (an error under this suite's warning filter)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "--f", "exp", "--alpha", "0.5", "--t-end", "1", "--n",
+     str(10**400)),
+    (*_CONVERGE, "1", "--n-list", f"3,5,{10**400}"),
+], ids=["integrate", "convergence"])
+def test_node_count_past_the_float_range(capsys, argv):
+    # a count no float holds: named by the grid, not an OverflowError from
+    # converting n - 1 for the step
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert "grid needs 1 to" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # rel_err past binary64 where the exact value is subnormal: inf
+    ("differentiate", "--f", "sin", "--t-end", "1.5", "--n", "4", "--alpha",
+     "1e-310", "--method", "fft", "--omega0", "1.5", "--route", "rl"),
+    # omega^2 past binary64: the response rounds to 0
+    ("dielectric", "--model", "lorentz", "--modes", "1:1:0.1",
+     "--omega-range", "1e200:1e300:2"),
+], ids=" ".join)
+def test_extreme_flags_exit_zero_without_warning(capsys, argv):
+    # finite result cells, and no numpy RuntimeWarning (an error under this
+    # suite's warning filter) on the way
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _, cols = parse_csv(out)
+    for name in ("approx", "chi_re", "chi_im"):
+        assert np.all(np.isfinite(cols.get(name, 0.0)))
 
 
 @pytest.mark.parametrize("flags, rule", [

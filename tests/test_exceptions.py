@@ -12,12 +12,13 @@ from fracquad.dielectric import (DebyeModel, LorentzEnsemble,
                                  lorentz_susceptibility)
 from fracquad.exceptions import AlignmentError, DomainError
 from fracquad.oracle import (brute_force_rl, exact_derivative_exp,
-                             exact_derivative_sin, exact_integral_const,
-                             exact_integral_exp, exact_integral_monomial)
+                             exact_derivative_monomial, exact_derivative_sin,
+                             exact_integral_const, exact_integral_exp,
+                             exact_integral_monomial)
 from fracquad.quadrature import (SampledSignal, UniformGrid, frac_integral,
                                  frac_newton_cotes, frac_trapezoid)
 from fracquad.special import gamma
-from fracquad.weights import (gl_weights, starting_weight_table,
+from fracquad.weights import (Scheme, gl_weights, starting_weight_table,
                               weights_for_scheme)
 
 
@@ -48,6 +49,44 @@ def _ones(n):
      "unknown scheme"),
     (lambda: starting_weight_table(gl_weights(-0.5, 1.0, 8), 1), DomainError,
      "integral orders"),
+    (lambda: exact_integral_monomial(math.inf, 0.5, 0.0), DomainError,
+     "finite t"),
+    (lambda: exact_integral_exp(2.0, math.inf), DomainError, "alpha > 0"),
+    # past binary64: the reference called, named with its arguments as
+    # floats, not a bare OverflowError or ZeroDivisionError, not inf or NaN,
+    # not ToleranceNotMet after a refinement that cannot converge
+    (lambda: exact_integral_exp(800.0, 0.5), DomainError,
+     "exact_integral_exp(800.0, 0.5) leaves the binary64 range"),
+    (lambda: exact_integral_exp(alpha=0.5, t=800.0), DomainError,
+     "exact_integral_exp(800.0, 0.5) leaves the binary64 range"),
+    (lambda: exact_integral_const(1e300, 0.5, 1e300), DomainError,
+     "exact_integral_const(1e+300, 0.5, 1e+300) leaves"),
+    (lambda: exact_integral_const(1e300, 2.0), DomainError,
+     "exact_integral_const(1e+300, 2.0) leaves"),
+    (lambda: exact_integral_monomial(1e300, 2.0, 0.0), DomainError,
+     "exact_integral_monomial(1e+300, 2.0, 0.0) leaves"),
+    (lambda: exact_derivative_monomial(np.float64(2.5e-311), 1.5, 0.0),
+     DomainError, "exact_derivative_monomial(2.5e-311, 1.5, 0.0) leaves"),
+    (lambda: exact_derivative_exp(800.0, 0.5), DomainError,
+     "exact_derivative_exp(800.0, 0.5) leaves"),
+    (lambda: exact_derivative_sin(1.0, 1e300, 2.0), DomainError,
+     "exact_derivative_sin(1.0, 1e+300, 2.0) leaves"),
+    (lambda: exact_derivative_sin(1e300, 1e200, 0.5), DomainError,
+     "exact_derivative_sin(1e+300, 1e+200, 0.5) leaves"),
+    (lambda: exact_derivative_sin(1.0, 0.0, -0.5), DomainError,
+     "exact_derivative_sin(1.0, 0.0, -0.5) leaves"),
+    (lambda: brute_force_rl(lambda u: math.nan, 1.0, 0.5), DomainError,
+     "brute_force_rl(f, 1.0, 0.5) leaves"),
+    (lambda: brute_force_rl(lambda u: 1e308 * (1.0 + u), 1.0, 0.5),
+     DomainError, "brute_force_rl(f, 1.0, 0.5) leaves"),
+    # counts numpy cannot index: no allocation, no "Maximum allowed size
+    # exceeded", and no 1-weight sequence for 2^63 weights
+    (lambda: UniformGrid(1.0, 2**63), DomainError, "grid needs 1 to"),
+    (lambda: UniformGrid(1e-300, 900_000_000_000_000_000_000), DomainError,
+     "grid needs 1 to"),
+    (lambda: gl_weights(0.5, 1.0, 2**63), DomainError, "weight count"),
+    (lambda: weights_for_scheme(Scheme.NC0, 0.5, 1.0, 2**64), DomainError,
+     "weight count"),
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
         "integral-exp-negative-t", "integral-monomial-negative-t",
         "derivative-exp-order", "derivative-exp-negative-t",
@@ -55,7 +94,13 @@ def _ones(n):
         "integral-const-nan-c", "brute-force-inf-t",
         "starting-degree-3-on-3-samples", "trapezoid-one-sample",
         "newton-cotes-two-samples", "gamma-inf", "scheme-by-name",
-        "starting-derivative-weights"])
+        "starting-derivative-weights", "integral-monomial-inf-t",
+        "integral-exp-inf-alpha",
+        "range-exp", "range-exp-keywords", "range-const-c", "range-const-power", "range-monomial",
+        "range-derivative-numpy-t", "range-derivative-exp", "range-sin-power",
+        "range-sin-phase", "range-sin-zero-omega", "range-brute-force-nan",
+        "range-brute-force-overflow", "grid-2^63", "grid-9e20", "gl-2^63",
+        "nc0-2^64"])
 def test_typed_error(call, error, fragment):
     # the typed error with its reason, and no numpy warning on the way
     with warnings.catch_warnings():
@@ -98,3 +143,4 @@ def test_result_past_binary64(call):
         with pytest.raises(DomainError, match="binary64") as info:
             call()
     assert "samples" not in str(info.value)
+

@@ -234,6 +234,29 @@ def test_exact_derivative_monomial_at_zero(alpha, q, want):
     assert exact_derivative_monomial(0.0, alpha, q) == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda: exact_integral_monomial(5e-324, 1.7e308, 0.0),
+    lambda: exact_integral_const(5e-324, 1.7e308),
+    lambda: exact_integral_monomial(0.5, 1e306, 0.0),
+    lambda: exact_integral_monomial(1e70, 1e306, 2.0),
+    lambda: exact_integral_exp(2.0, 1.7e308),
+    lambda: exact_integral_exp(700.0, 1e306),
+], ids=["monomial-5e-324", "const-5e-324", "monomial-0.5", "monomial-1e70",
+        "exp-2", "exp-700"])
+def test_integrals_below_subnormal_range(call):
+    # lgamma of the order past binary64 in the denominator, the power's
+    # logarithm not: the true value is below the subnormal range, so 0
+    assert call() == 0.0
+
+
+def test_references_take_keyword_arguments():
+    # folded in by position: the t = 0 limit and the values of the
+    # positional call
+    assert exact_derivative_exp(t=0.0, alpha=0.5) == math.inf
+    assert (exact_integral_const(2.0, c=3.0, alpha=0.5)
+            == exact_integral_const(2.0, 0.5, 3.0))
+
+
 @pytest.mark.parametrize("alpha, q", [(1.0, 1e-16), (0.5, 0.25)])
 def test_exact_derivative_monomial_unbounded_at_zero(alpha, q):
     # q < alpha off a pole: t^(q-alpha) is unbounded at 0, even where

@@ -149,3 +149,11 @@ def test_lower_incomplete_gamma_domain():
     with pytest.raises(DomainError):
         lower_incomplete_gamma(1.0, -2.0)
 
+
+@pytest.mark.parametrize("t", [2.0**53, 1e154])
+def test_lower_incomplete_gamma_branch_past_2_53(t):
+    # t = alpha, where alpha + 1 rounds to alpha: the series branch and its
+    # typed error at this size, not a continued fraction that starts at
+    # b = t + 1 - alpha = 0 and divides by it
+    with pytest.raises(DomainError, match="series"):
+        lower_incomplete_gamma(t, t)
