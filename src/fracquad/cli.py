@@ -62,12 +62,13 @@ def _emit(header: Sequence[str], *columns) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _emit_against(t, approx, exact) -> None:
-    """``t,approx`` rows, with ``exact`` and its error columns when given;
-    ``rel_err`` is NaN where ``exact`` is 0 or not finite."""
-    if exact is None:
+def _emit_against(t, approx, ref, alpha) -> None:
+    """``t,approx`` rows, and ``exact = ref(t, alpha)`` with its error columns
+    when given; ``rel_err`` is NaN where ``exact`` is 0 or not finite."""
+    if ref is None:
         _emit(("t", "approx"), t, approx)
         return
+    exact = np.array([ref(x, alpha) for x in t])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_err = np.abs(approx - exact)
         rel_err = np.where(np.isfinite(exact) & (exact != 0.0),
@@ -177,10 +178,6 @@ def _integrand(spec: str, args) -> tuple:
     raise _UsageError(f"unknown integrand {spec!r}")
 
 
-def _column(ref, t, alpha) -> "np.ndarray | None":
-    return None if ref is None else np.array([ref(x, alpha) for x in t])
-
-
 def _apply_rule(signal, rule, alpha, method, memory, starting):
     if rule in _SCHEME_NAMES:
         w = weights_for_scheme(Scheme(rule), alpha, signal.grid.dt,
@@ -222,7 +219,7 @@ def _cmd_integrate(args) -> None:
     out = _apply_rule(signal, args.scheme, args.alpha, args.method,
                       args.memory, args.starting_weights)
     t = signal.grid.nodes
-    _emit_against(t, out.values, _column(integral, t, args.alpha))
+    _emit_against(t, out.values, integral, args.alpha)
 
 
 def _cmd_differentiate(args) -> None:
@@ -239,7 +236,7 @@ def _cmd_differentiate(args) -> None:
                                          scheme=Scheme(args.scheme or "gl"),
                                          method=args.method)
     t = signal.grid.nodes
-    _emit_against(t, out.values, _column(derivative, t, args.alpha))
+    _emit_against(t, out.values, derivative, args.alpha)
 
 
 def _cmd_convergence(args) -> None:

@@ -5,7 +5,7 @@ Frequency-domain susceptibilities follow the physics sign convention of a
 carries a *positive* imaginary part:
 
 * Debye:    ``chi(w) = (1/eps0) N a tau / (1 - j w tau)``
-* Lorentz:  ``chi(w) = (N e^2 / (eps0 m)) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``
+* Lorentz:  ``chi(w) = (N / eps0) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``
 * universal power law: ``chi(w) = scale * w^(n-1) exp(+j pi (1 - n) / 2)``,
   the high-frequency ``(j w)^(n-1)`` branch consistent with the two models
   above; its loss tangent ``chi''/chi' = cot(n pi / 2)`` is frequency-free.
@@ -14,9 +14,9 @@ In the time domain the same power law is realized causally as a fractional
 integral of the driving field, ``P(t) = eps0 * I^alpha[E](t)`` with
 ``alpha = 1 - n``, and :func:`verify_universal_ratio` closes the loop by
 re-extracting the loss tangent from a steady-state sinusoid fit of that
-time-domain response.  All quantities are treated as dimensionless model
-units (the fractional constitutive law absorbs a time^alpha scale that the
-frequency picture never sees).
+time-domain response.  All quantities are dimensionless model units: the
+Lorentz density N carries e^2/m, and the fractional constitutive law absorbs
+a time^alpha scale that the frequency picture never sees.
 """
 
 from __future__ import annotations
@@ -99,8 +99,6 @@ class LorentzEnsemble:
 
     modes: tuple[LorentzMode, ...]
     n_density: float = 1.0
-    electron_charge: float = 1.0
-    electron_mass: float = 1.0
     eps0: float = 1.0
     electrons_per_molecule: float | None = None
 
@@ -108,12 +106,10 @@ class LorentzEnsemble:
         modes = tuple(LorentzMode(*m) for m in self.modes)
         if not modes:
             raise DomainError("ensemble needs at least one mode")
-        if not all(map(math.isfinite, (self.n_density, self.electron_charge,
-                                       self.electron_mass, self.eps0))):
+        if not all(map(math.isfinite, (self.n_density, self.eps0))):
             raise DomainError("ensemble constants must be finite")
-        if not min(self.n_density, self.electron_mass, self.eps0) > 0.0:
-            raise DomainError("density, electron mass and eps0 must be "
-                              "positive")
+        if not min(self.n_density, self.eps0) > 0.0:
+            raise DomainError("density and eps0 must be positive")
         for m in modes:
             if not (all(map(math.isfinite, m)) and m.weight >= 0.0
                     and m.omega > 0.0 and m.damping >= 0.0):
@@ -179,16 +175,14 @@ def debye_susceptibility(model: DebyeModel, omega):
 def lorentz_susceptibility(model: LorentzEnsemble, omega):
     """Oscillator-ensemble susceptibility.
 
-    ``(N e^2 / (eps0 m)) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``.  Emits a
-    :class:`ResonanceWarning` (and yields an infinite value at the exact
-    pole) when probed at or next to an undamped resonance.
+    ``(N / eps0) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``, N carrying e^2/m.
+    Emits a :class:`ResonanceWarning` (and yields an infinite value at the
+    exact pole) when probed at or next to an undamped resonance.
     """
     omega = _finite(omega)
     if np.any(omega < 0.0):
         raise DomainError("omega must be >= 0")
-    prefactor = (model.n_density
-                 * (model.electron_charge * model.electron_charge)
-                 / (model.eps0 * model.electron_mass))
+    prefactor = model.n_density / model.eps0
     chi = np.zeros(omega.shape, dtype=complex)
     pole = np.zeros(omega.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

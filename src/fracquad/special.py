@@ -21,12 +21,20 @@ t = a + 1), both exponentials some ``|lgamma(a)| eps`` off (``Gamma(a)`` is
 ``exp(lgamma(a))``): measured at most ``(16 + 3.4 |lgamma(a)|) eps`` against
 40-digit mpmath, 1944 eps at (t, a) = (148.20, 147.19).
 
-A result past binary64 raises ``OverflowError`` on either branch.  Once
-``Gamma(a)`` itself overflows (a > 171.62), the continued fraction returns
-``exp(lgamma(a) + log P(a, t))``, P = gamma_lower / Gamma, through
+A result past binary64 raises ``OverflowError`` on either branch, and so
+does a branch past its 10 000-term budget, which runs out only where
+gamma_lower and ``e^t P(a, t)`` are past binary64 too (measured: the series
+for a > 1.69e6 and t > 0.9969 a, the continued fraction for a > 1.35e9).
+Once ``Gamma(a)`` itself overflows (a > 171.62), the continued fraction
+returns ``exp(lgamma(a) + log P(a, t))``, P = gamma_lower / Gamma, through
 :func:`_log_p`: the one log-space route, from either branch's sum or tail.
-``OverflowError`` stays this module's signal: the oracles catch it and
-raise a ``DomainError`` that names the reference.
+Past t = 2^53 with a <= t/2 the tail is its leading term ``t^(a-1) e^-t``:
+both underflow next to ``Gamma(a)`` there, while the Lentz terms stop
+changing and delta can stay one ulp below the 1 its stop test needs (past
+2^1022 the Lentz start is subnormal as well).  t and a must be finite: an
+infinity or NaN raises ``DomainError``.  ``OverflowError`` stays this
+module's signal: the oracles catch it and raise a ``DomainError`` that
+names the reference.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = ["gamma", "lower_incomplete_gamma"]
 
 _SERIES_STOP_RATIO = 1e-16
 _MAX_TERMS = 10_000  # of the series or the continued fraction
+_FAR_TAIL = 2.0**53  # past it, alpha <= t/2: Gamma(alpha, t) < e^(-t/7) Gamma
 
 
 def gamma(x: float) -> float:
@@ -73,17 +82,14 @@ def lower_incomplete_gamma(t: float, alpha: float) -> float:
     Parameters
     ----------
     t : float
-        Upper integration limit, ``t >= 0``.
+        Upper integration limit, finite, ``t >= 0``.
     alpha : float
-        Exponent parameter, ``alpha > 0``.
+        Exponent parameter, finite, ``alpha > 0``.
     """
     t, alpha = float(t), float(alpha)
-    if not t >= 0.0:
-        raise DomainError(f"lower_incomplete_gamma requires t >= 0, got {t!r}")
-    if not alpha > 0.0:
-        raise DomainError(
-            f"lower_incomplete_gamma requires alpha > 0, got {alpha!r}"
-        )
+    if not (0.0 <= t < math.inf and 0.0 < alpha < math.inf):
+        raise DomainError(f"lower_incomplete_gamma requires finite t >= 0, "
+                          f"alpha > 0, got {t!r}, {alpha!r}")
     if t == 0.0:
         return 0.0
     try:
@@ -129,15 +135,18 @@ def _series_sum(t: float, alpha: float) -> float:
         total += term
         if term <= _SERIES_STOP_RATIO * total:
             return total
-    raise DomainError(
-        f"incomplete gamma series failed to converge for t={t:g}, "
-        f"alpha={alpha:g}"
-    )
+    raise OverflowError  # alpha > 1.69e6, t > 0.9969 alpha: past binary64
 
 
 def _log_upper_tail(t: float, alpha: float) -> float:
     """``log Gamma(alpha, t)`` by the modified Lentz continued fraction
-    (Numerical Recipes gcf), for t - alpha >= 1."""
+    (Numerical Recipes gcf), for t - alpha >= 1; past ``_FAR_TAIL`` with
+    alpha <= t/2 its leading term, which underflows next to Gamma(alpha) as
+    the true tail does, where the fraction's terms stop changing (b + 2
+    rounds to b past 2^54) and delta can stay one ulp below 1, which the
+    stop test (passed by delta == 1 alone) never accepts."""
+    if t > _FAR_TAIL and alpha <= 0.5 * t:
+        return -t + (alpha - 1.0) * math.log(t)
     tiny = 1e-300
     b, c = t + 1.0 - alpha, 1.0 / tiny
     d = h = 1.0 / b
@@ -155,7 +164,4 @@ def _log_upper_tail(t: float, alpha: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             return -t + alpha * math.log(t) + math.log(h)
-    raise DomainError(
-        f"incomplete gamma continued fraction failed for t={t:g}, "
-        f"alpha={alpha:g}"
-    )
+    raise OverflowError  # alpha > 1.35e9: past binary64

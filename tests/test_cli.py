@@ -381,7 +381,15 @@ _PAST_BINARY64 = [
       "--t-probe", "7", "--n-list", "3,5,9"),
      "brute_force_rl(f, 7.0, 0.5, 1e-10) leaves"),
     ((*_CONVERGE[:4], "1e154", "--t-probe", "1e154", "--n-list", "3,5,9"),
-     "incomplete gamma series failed to converge"),
+     "exact_integral_exp(1e+154, 1e+154) leaves"),
+    ((*_CONVERGE[:4], "1e10", "--t-probe", "1e10", "--n-list", "3,5,9"),
+     "exact_integral_exp(10000000000.0, 10000000000.0) leaves"),
+    ((*_CONVERGE[:4], "2", "--t-probe", "1e308", "--n-list", "3,5,9"),
+     "exact_integral_exp(1e+308, 2.0) leaves"),
+    ((*_CONVERGE, "1e30", "--n-list", "3,5,9"),
+     "exact_integral_exp(1e+30, 0.5) leaves"),
+    ((*_CONVERGE[:4], "1e10", "--t-probe", "10000000002", "--n-list",
+      "3,5,9"), "exact_integral_exp(10000000002.0, 10000000000.0) leaves"),
     ((*_CONVERGE, "1", "--n-list", "3,5,900000000000000000000"),
      "grid needs 1 to"),
     (("coeffs", "--scheme", "flmm-trap", "--alpha", "1e-160", "--dt",

@@ -1,11 +1,13 @@
 """Typed errors of public calls on inputs outside their domain."""
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import fracquad
 from fracquad.derivative import rl_derivative_via_integral
 from fracquad.dielectric import (DebyeModel, LorentzEnsemble,
                                  fractional_polarization,
@@ -144,3 +146,83 @@ def test_result_past_binary64(call):
             call()
     assert "samples" not in str(info.value)
 
+
+_SIGNAL = SampledSignal.sample(np.exp, UniformGrid(0.625, 9))  # t = 5
+_WEIGHTS = {"alpha": 0.5, "dt": 0.625, "n": 9}
+
+# a valid call of every public function, by keyword: each float among them
+# is swept to inf, -inf and NaN in turn
+_VALID_CALLS = {
+    "gl_derivative": {"signal": _SIGNAL, "order": 0.5},
+    "rl_derivative_via_integral": {"signal": _SIGNAL, "order": 0.5},
+    "universal_susceptibility": {"model": fracquad.UniversalResponse(0.5),
+                                 "omega": 2.0, "scale": 1.0},
+    "debye_susceptibility": {"model": DebyeModel(), "omega": 2.0},
+    "lorentz_susceptibility": {"model": LorentzEnsemble(((1.0, 1.0, 0.1),)),
+                               "omega": 2.0},
+    "fractional_polarization": {"e_field": _SIGNAL, "alpha": 0.5,
+                                "eps0": 1.0},
+    "verify_universal_ratio": {"n_exp": 0.5, "omega0": 2.0 * math.pi,
+                               "dt": 0.01, "t_end": 5.0},
+    "exact_integral_const": {"t": 5.0, "alpha": 0.5, "c": 1.0},
+    "exact_integral_exp": {"t": 5.0, "alpha": 0.5},
+    "exact_integral_monomial": {"t": 5.0, "alpha": 0.5, "q": 1.0},
+    "exact_derivative_monomial": {"t": 5.0, "alpha": 0.5, "q": 1.0},
+    "exact_derivative_exp": {"t": 5.0, "alpha": 0.5},
+    "exact_derivative_sin": {"t": 5.0, "omega0": 1.0, "alpha": 0.5},
+    "brute_force_rl": {"f": math.sin, "t": 5.0, "alpha": 0.5, "tol": 1e-8},
+    "frac_integral": {"signal": _SIGNAL,
+                      "weights": gl_weights(**_WEIGHTS)},
+    "frac_trapezoid": {"signal": _SIGNAL, "alpha": 0.5},
+    "frac_newton_cotes": {"signal": _SIGNAL, "alpha": 0.5, "p": 2},
+    "short_memory_integral": {"signal": _SIGNAL,
+                              "weights": gl_weights(**_WEIGHTS),
+                              "memory_length": 4},
+    "gamma": {"x": 5.0},
+    "lower_incomplete_gamma": {"t": 5.0, "alpha": 0.5},
+    "gl_weights": _WEIGHTS,
+    "nc0_weights": _WEIGHTS,
+    "flmm_weights": _WEIGHTS,
+    "euler_flmm_weights": _WEIGHTS,
+    "weights_for_scheme": {"scheme": Scheme.GL, **_WEIGHTS},
+    "starting_weight_table": {"weights": gl_weights(**_WEIGHTS), "s": 2},
+}
+_PUBLIC_FUNCTIONS = sorted(
+    name for name in fracquad.__all__
+    if callable(getattr(fracquad, name))
+    and not inspect.isclass(getattr(fracquad, name)))
+_NON_FINITE_CALLS = [
+    (name, param, value)
+    for name in _PUBLIC_FUNCTIONS
+    for param, valid in _VALID_CALLS.get(name, {}).items()
+    if type(valid) is float
+    for value in (math.inf, -math.inf, math.nan)
+]
+
+
+def test_valid_calls_cover_the_public_functions():
+    # every public function has a valid call, every float parameter of its
+    # signature is set in it, and the call succeeds
+    assert sorted(_VALID_CALLS) == _PUBLIC_FUNCTIONS
+    for name in _PUBLIC_FUNCTIONS:
+        fn, kwargs = getattr(fracquad, name), _VALID_CALLS[name]
+        floats = {param.name for param in
+                  inspect.signature(fn).parameters.values()
+                  if param.annotation == "float"}
+        assert floats <= set(kwargs), name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(**kwargs)
+
+
+@pytest.mark.parametrize("name, param, value", _NON_FINITE_CALLS,
+                         ids=[f"{name}-{param}={value}"
+                              for name, param, value in _NON_FINITE_CALLS])
+def test_non_finite_float_raises_domain_error(name, param, value):
+    # inf, -inf or NaN in one float parameter, valid values elsewhere: a
+    # DomainError, not a bare OverflowError, a ToleranceNotMet or a value
+    kwargs = {**_VALID_CALLS[name], param: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            getattr(fracquad, name)(**kwargs)

@@ -53,6 +53,11 @@ INCOMPLETE_GAMMA_CASES = [
     (8.0, 0.25, 3.6255448980376155589),
     (8.0, 0.75, 1.2252226939275367537),
     (25.0, 0.5, 1.7724538509027909508),
+    # past 2^53, where the continued fraction's terms stop changing, and
+    # past 2^1022, where it would start subnormal
+    (1e30, 0.5, 1.7724538509055160273),
+    (5e307, 0.5, 1.7724538509055160273),
+    (1.7e308, 100.0, 9.3326215443944152682e155),
 ]
 
 
@@ -105,13 +110,19 @@ def test_lower_incomplete_gamma_limits():
     assert lower_incomplete_gamma(200.0, 0.5) == pytest.approx(
         math.sqrt(math.pi), rel=1e-14)
     assert lower_incomplete_gamma(120.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert lower_incomplete_gamma(1e308, 2.0) == 1.0  # past 2^1022
 
 
 @pytest.mark.parametrize("t,alpha", [(170.0, 175.0), (10.0, 1000.0),
-                                     (300.0, 172.0)])
+                                     (300.0, 172.0), (1.7e6, 1.7e6),
+                                     (1e10, 1e10), (0.998e10, 1e10),
+                                     (1e10 + 2.0, 1e10), (1e200, 0.9e200)])
 def test_lower_incomplete_gamma_overflow_raises(t, alpha):
     # past binary64 on the series branch with t^(alpha/2) finite, on the
-    # series branch with it infinite, and on the continued-fraction branch
+    # series branch with it infinite, on the continued-fraction branch, and
+    # where a branch needs over 10 000 terms (the series for alpha above
+    # 1.69e6 and t above 0.9969 alpha, the continued fraction for alpha
+    # above 1.35e9)
     with pytest.raises(OverflowError, match="binary64"):
         lower_incomplete_gamma(t, alpha)
 
@@ -153,7 +164,7 @@ def test_lower_incomplete_gamma_domain():
 @pytest.mark.parametrize("t", [2.0**53, 1e154])
 def test_lower_incomplete_gamma_branch_past_2_53(t):
     # t = alpha, where alpha + 1 rounds to alpha: the series branch and its
-    # typed error at this size, not a continued fraction that starts at
-    # b = t + 1 - alpha = 0 and divides by it
-    with pytest.raises(DomainError, match="series"):
+    # range error at this size (Gamma(t) / 2 is past binary64), not a
+    # continued fraction that starts at b = t + 1 - alpha = 0 and divides by it
+    with pytest.raises(OverflowError, match="binary64"):
         lower_incomplete_gamma(t, t)
