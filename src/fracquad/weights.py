@@ -124,38 +124,6 @@ _MAX_COUNT = np.iinfo(np.intp).max
 _BLOCK = 128
 _LEAF_CUTOFF = 1024
 
-
-def _blocked(f: np.ndarray, c: np.ndarray,
-             lags: int) -> tuple[np.ndarray, np.ndarray]:
-    """``f`` in rows of L = ``_BLOCK`` samples, zero-padded, and the sum over
-    block lags d < ``lags`` of the rows d back times the Toeplitz blocks
-    ``T_d[r, s] = c[d L + r - s]``: only the causal triangle is summed, and
-    the exact zeros above the diagonal keep the result bitwise causal."""
-    rows = -(-len(f) // _BLOCK)
-    f_rows = np.zeros((rows, _BLOCK))
-    f_rows.ravel()[: len(f)] = f
-    c = c[: lags * _BLOCK]
-    kernel = np.zeros((lags + 1) * _BLOCK - 1)
-    kernel[_BLOCK - 1: _BLOCK - 1 + len(c)] = c
-    windows = np.lib.stride_tricks.sliding_window_view(kernel, _BLOCK)
-    out = np.zeros((rows, _BLOCK))
-    for d in range(lags):
-        block = windows[d * _BLOCK: (d + 1) * _BLOCK][::-1].copy()  # T_d.T
-        out[d:] += f_rows[: rows - d] @ block
-    return f_rows, out
-
-
-def _causal_conv_direct(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``out[n] = sum_(j <= n) c_j f_(n-j)`` for every node of ``f``, each
-    within ``N * eps * (|f| * |c|)_n``, by :func:`_blocked` past the leaf."""
-    n = len(f)
-    c = c[:n]
-    if n <= _LEAF_CUTOFF:
-        return np.convolve(f, c)[:n]
-    lags = min(-(-n // _BLOCK), (len(c) + _BLOCK - 2) // _BLOCK + 1)
-    return _blocked(f, c, lags)[1].ravel()[:n]
-
-
 #: The sum-of-exponentials engine beats the direct path from _MODES_CUTOFF
 #: samples for one mode term and 1.5 times that for two (measured crossover
 #: 2.6-3.0e3 for one term, 4.3-5.0e3 for two, on 1 and 2 BLAS threads).
@@ -168,43 +136,64 @@ def _engine_runs(n: int, far: _Terms | None) -> bool:
 
 
 def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
-    """``rule`` on ``f``: direct, or under ``fft`` the engine where it runs."""
+    """``rule`` on ``f``, ``out[n] = sum_(j <= n) w_j g_(n-j)`` plus the head
+    columns, bitwise causal and each node within ``N * eps * (|f| * |w|)_n``:
+    one ``np.convolve`` up to the leaf, past it g in rows of L = ``_BLOCK``
+    samples, zero-padded, times the Toeplitz blocks ``T_d[r, s] = w[d L + r
+    - s]`` of every block lag d the weights reach, or of lags 0 and 1 where
+    the ``fft`` engine runs and the older rows through :func:`_far_rows`.
+    Only the causal triangle is summed; its exact zeros keep it causal."""
     if method not in ("direct", "fft"):
         raise DomainError(f"method must be 'direct' or 'fft', got {method!r}")
+    n = len(f)
     g = np.concatenate(([0.0], f[:-1])) if rule.shift else f
+    c = rule.values[:n]
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "fft" and _engine_runs(len(g), rule.far):
-            out = _causal_conv_modes(g, rule.values, rule.far)
+        if n <= _LEAF_CUTOFF:
+            out = np.convolve(g, c)[:n]
         else:
-            out = _causal_conv_direct(g, rule.values)
+            count = -(-n // _BLOCK)
+            engine = method == "fft" and _engine_runs(n, rule.far)
+            lags = 2 if engine else min(count,
+                                        (len(c) + _BLOCK - 2) // _BLOCK + 1)
+            rows = np.zeros((count, _BLOCK))
+            rows.ravel()[:n] = g
+            c = c[: lags * _BLOCK]
+            kernel = np.zeros((lags + 1) * _BLOCK - 1)
+            kernel[_BLOCK - 1: _BLOCK - 1 + len(c)] = c
+            windows = np.lib.stride_tricks.sliding_window_view(kernel, _BLOCK)
+            out = np.zeros((count, _BLOCK))
+            for d in range(lags):  # block = T_d.T
+                block = windows[d * _BLOCK: (d + 1) * _BLOCK][::-1].copy()
+                out[d:] += rows[: count - d] @ block
+            if engine:
+                out += _far_rows(rows, rule.far, n)
+            out = out.ravel()[:n]
         if rule.head is not None:
             out += rule.head @ f[: rule.head.shape[1]]
     return out
 
 
-def _causal_conv_modes(f: np.ndarray, values: np.ndarray,
-                       far: _Terms) -> np.ndarray:
-    """:func:`_causal_conv_direct` in O(N (L + M)) through the far field,
-    bitwise causal and within ``N * eps * (|f| * |w|)_n`` per term: block
-    lags 0 and 1 of :func:`_blocked` exact, older rows F through M
-    same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @ into)_(b-2))``
-    by recursive doubling, then ``S_b @ (c_m e^(-u_m r))^T`` in row b.  Mode
-    m keeps S in units of 2^min(e_m, 0), |c_m| in [2^(e_m-1), 2^e_m), not of
-    the samples: below N max|f| and about 2 (|f| * |w|)_n, finite with it."""
-    u, c, alternating = _modes(far, len(f))
-    f_rows, out = _blocked(f, values, 2)
+def _far_rows(rows: np.ndarray, far: _Terms, n: int) -> np.ndarray:
+    """Block lags 2 and older of the block rows F of ``n`` samples in O(N M)
+    through the far field, within ``N * eps * (|f| * |w|)_n`` per term: M
+    same-signed modes per term, ``S_b = e^(-u L) (S_(b-1) + (F @
+    into)_(b-2))`` by recursive doubling, then ``S_b @ (c_m e^(-u_m
+    r))^T`` in row b.  Mode m keeps S in units of 2^min(e_m, 0), |c_m| in
+    [2^(e_m-1), 2^e_m), not of the samples: below N max|f| and about 2 (|f|
+    * |w|)_n, finite with it."""
+    u, c, alternating = _modes(far, n)
     decay = np.exp(-np.outer(np.arange(_BLOCK + 1.0), u))  # e^(-u_m r)
     scale = np.ldexp(1.0, np.minimum(np.frexp(c)[1], 0))
     into, out_of = decay[:0:-1] * scale, c / scale * decay[:-1]
     into[1::2, alternating] *= -1.0  # (-1)^(L - s + r) on those modes, L even
     out_of[1::2, alternating] *= -1.0
-    state = np.zeros((len(f_rows), len(u)))
-    np.matmul(f_rows[:-2], into, out=state[2:])
+    state = np.zeros((len(rows), len(u)))
+    np.matmul(rows[:-2], into, out=state[2:])
     state[2:] *= decay[-1]
-    for j in range((len(f_rows) - 1).bit_length()):
+    for j in range((len(rows) - 1).bit_length()):
         state[1 << j:] += np.exp(-u * (_BLOCK << j)) * state[: -(1 << j)]
-    out += state @ out_of.T
-    return out.ravel()[: len(f)]
+    return state @ out_of.T
 
 
 def _modes(far: _Terms, n: int) -> tuple[np.ndarray, ...]:

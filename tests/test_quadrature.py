@@ -40,10 +40,10 @@ from fracquad.weights import (
     _MODES_CUTOFF,
     Scheme,
     WeightSequence,
-    _causal_conv_direct,
     _evaluate,
     _modes,
     _monomial_defects,
+    _Rule,
     flmm_weights,
     gl_weights,
     nc0_weights,
@@ -771,7 +771,7 @@ def test_flmm_trap_weights_from_engine_exact_to_rounding(alpha, n):
     plus = np.cumprod(np.r_[1.0, (alpha - (k - 1.0)) / k])
     minus = np.cumprod(np.r_[1.0, (k - 1.0 + alpha) / k])
     got = weights_for_scheme(Scheme.FLMM_TRAP, alpha, 2.0, n).values
-    assert not np.array_equal(got, _causal_conv_direct(plus, minus))
+    assert not np.array_equal(got, _evaluate(plus, _Rule(minus), "direct"))
     for m in _engine_nodes(n, np.random.default_rng(n)):
         _assert_exact_to_rounding(plus[: m + 1], minus, got, [m])
 
