@@ -1,26 +1,27 @@
 """Left-sided fractional integrals of sampled signals.
 
-Every rule here is one ``weights._Rule``, which ``weights._evaluate`` takes
-beside the engine: Toeplitz weights, head columns on the first nodes
-(starting corrections, or Newton-Cotes starting columns, whose row 0 cancels
-``w_0 f_0`` so that ``out[0] = 0``) and, for the panel rules (NC0, and the
-trapezoid, NC0 on panel averages), an input shift of one sample.
+Every rule here is one ``weights._Rule``: Toeplitz weights, head columns on
+the first nodes (starting corrections, or Newton-Cotes starting columns,
+whose row 0 cancels ``w_0 f_0`` so that ``out[0] = 0``) and, for the panel
+rules (NC0, and the trapezoid, NC0 on panel averages), an input shift of
+one sample.
 
-The ``direct`` path (the default) sums only the causal triangle, as
-products of signal blocks with Toeplitz blocks of the weights (one
-``np.convolve`` call for short signals): bitwise causal, each node within
-``N * eps * (|f| * |w|)_n``.  The ``fft`` path makes no Fourier transform:
-a sum-of-exponentials engine, O(N (L + M)), cuts the same blocks once, takes
-block lags 0 and 1 as ``direct`` does and older ones through M ~ 100
-one-signed modes per term of the weights' integral form, bitwise causal and
-within the same bound, for non-integer orders below 1 (GL down to -64;
-FLMM_TRAP above -1); other orders, and signals below 3000 samples (4500 for
-the two terms of NC3 and FLMM_TRAP), run ``direct``.
+``weights._evaluate`` sums every rule in one bitwise causal pass, each node
+within ``N * eps * (|f| * |w|)_n``: one ``np.convolve`` call for short
+signals, past it products of 128-sample signal rows with the causal
+triangles of Toeplitz blocks of the weights.  ``direct`` (the default)
+takes every block lag the weights reach; ``fft``, which makes no Fourier
+transform, takes lags 0 and 1 and older rows through M ~ 100 one-signed
+modes per term of the weights' integral form, O(N (L + M)) and within the
+bound per term, for non-integer orders below 1 (GL down to -64; FLMM_TRAP
+above -1); other orders, and signals below 3000 samples (4500 for the two
+terms of NC3 and FLMM_TRAP), run ``direct``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
@@ -66,9 +67,10 @@ class UniformGrid:
         if not 0.0 < self.dt < math.inf:
             raise DomainError(f"grid step must be positive and finite, "
                               f"got {self.dt!r}")
-        if not 1 <= self.n <= _MAX_COUNT:
+        if not (isinstance(self.n, numbers.Integral)
+                and 1 <= self.n <= _MAX_COUNT):
             raise DomainError(f"grid needs 1 to {_MAX_COUNT} nodes, "
-                              f"got {self.n}")
+                              f"got {self.n!r}")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -89,6 +91,8 @@ class SampledSignal:
     result: InitVar[str | None] = None
 
     def __post_init__(self, result: str | None) -> None:
+        if np.iscomplexobj(self.values):
+            raise DomainError("signal samples must be real")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) != self.grid.n:
             raise DomainError(f"signal needs {self.grid.n} samples, got "
@@ -105,8 +109,7 @@ class SampledSignal:
         """``f`` on the nodes; an overflowing or NaN sample is reported once,
         by the finiteness check, not also by a numpy warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.asarray(f(grid.nodes), dtype=float)
-        return cls(grid, values)
+            return cls(grid, f(grid.nodes))
 
     def replace_values(self, values: np.ndarray,
                        result: str = "result") -> "SampledSignal":
@@ -144,13 +147,14 @@ def frac_integral(
     weights : WeightSequence
         Convolution weights generated for the same grid step.
     method : {"direct", "fft"}
-        Summation backend.  ``direct`` (blocked Toeplitz products over an
-        ``np.convolve`` leaf) is bitwise causal and within
-        ``N * eps * (|f| * |w|)_n`` at node n.  ``fft`` is the
-        sum-of-exponentials engine: O(N (L + M)), bitwise causal, within
-        a quarter of that bound as measured, and the same as ``direct``
-        for weights without an integral form (integer orders, orders of 1
-        and above) or signals shorter than the engine's cutoff.  Below
+        The block lags the one causal pass sums exactly, either way
+        bitwise causal and within ``N * eps * (|f| * |w|)_n`` at node n:
+        ``direct`` every lag the weights reach (blocked Toeplitz products
+        over an ``np.convolve`` leaf), ``fft`` lags 0 and 1 and older rows
+        through the sum-of-exponentials engine, O(N (L + M)), within a
+        quarter of that bound as measured; ``fft`` is ``direct`` for
+        weights without an integral form (integer orders, orders of 1 and
+        above) or signals shorter than the engine's cutoff.  Below
         2^-1022 rounding is absolute: both bounds gain ``N 2^-1074``, and
         ``fft``'s ``2^-1066 |f_k|`` per subnormal weight ``w_(n-k)``.
     starting_degree : int, optional
@@ -366,9 +370,11 @@ def short_memory_integral(
     decay (derivative-type kernels).
     """
     n = signal.grid.n
-    if not 1 <= memory_length <= n:
+    if not (isinstance(memory_length, numbers.Integral)
+            and 1 <= memory_length <= n):
         raise DomainError(
-            f"memory length must be in [1, {n}], got {memory_length}"
+            f"memory length must be an integer in [1, {n}], "
+            f"got {memory_length!r}"
         )
     _check_compatibility(signal, weights)
     out = _evaluate(signal.values, weights._rule._replace(

@@ -28,7 +28,9 @@ origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
 engine, ``WeightSequence.far_field``, a tuple of terms: GL in (-64, 1), NC0
 in (0, 1) and FLMM_TRAP in (-1, 1), a term per branch cut, z > 1 and z < -1.
-Every rule is one :class:`_Rule`, which :func:`_evaluate` alone evaluates.
+Every rule is one :class:`_Rule`, which :func:`_evaluate` sums in one
+causal pass, each node within ``N * eps * (|f| * |w|)_n``; ``fft`` takes
+the older rows of long signals through the far field.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -102,6 +105,8 @@ class WeightSequence:
     far_field: _Terms | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.values):
+            raise DomainError("weights must be real")
         values = np.asarray(self.values, dtype=float)
         if not np.isfinite(values).all():
             raise DomainError(f"weights of order {self.alpha!r} leave the "
@@ -149,7 +154,7 @@ def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
     g = np.concatenate(([0.0], f[:-1])) if rule.shift else f
     c = rule.values[:n]
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= _LEAF_CUTOFF:
+        if n <= _LEAF_CUTOFF:  # the engine runs from _MODES_CUTOFF on
             out = np.convolve(g, c)[:n]
         else:
             count = -(-n // _BLOCK)
@@ -271,6 +276,8 @@ def _validate_common(alpha: float, dt: float, n: int,
     if not 0.0 < dt < math.inf:
         raise DomainError(f"grid step must be positive and finite, "
                           f"got {dt!r}")
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"weight count must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"weight count must be >= 1, got {n}")
     if n > _MAX_COUNT:
@@ -443,8 +450,8 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
             "starting corrections are defined for the convolution-"
             "quadrature schemes (GL / FLMM), not panel rules"
         )
-    if not 0 <= s <= 3:
-        raise DomainError(f"correction degree must be in 0..3, got {s}")
+    if not (isinstance(s, numbers.Integral) and 0 <= s <= 3):
+        raise DomainError(f"correction degree must be in 0..3, got {s!r}")
     alpha, dt, n_max = weights.alpha, weights.dt, len(weights.values) - 1
     if not alpha > 0:
         raise DomainError("starting corrections apply to integral orders")

@@ -18,9 +18,11 @@ from fracquad.oracle import (brute_force_rl, exact_derivative_exp,
                              exact_integral_const, exact_integral_exp,
                              exact_integral_monomial)
 from fracquad.quadrature import (SampledSignal, UniformGrid, frac_integral,
-                                 frac_newton_cotes, frac_trapezoid)
+                                 frac_newton_cotes, frac_trapezoid,
+                                 short_memory_integral)
 from fracquad.special import gamma
-from fracquad.weights import (Scheme, gl_weights, starting_weight_table,
+from fracquad.weights import (Scheme, WeightSequence, gl_weights,
+                              nc0_weights, starting_weight_table,
                               weights_for_scheme)
 
 
@@ -89,6 +91,26 @@ def _ones(n):
     (lambda: gl_weights(0.5, 1.0, 2**63), DomainError, "weight count"),
     (lambda: weights_for_scheme(Scheme.NC0, 0.5, 1.0, 2**64), DomainError,
      "weight count"),
+    # counts and degrees that are not integers: no rounded-up count, no
+    # bare TypeError from numpy
+    (lambda: gl_weights(0.5, 1.0, 5.5), DomainError, "weight count"),
+    (lambda: weights_for_scheme(Scheme.FLMM_TRAP, 0.5, 1.0, 5.5),
+     DomainError, "weight count"),
+    (lambda: nc0_weights(0.5, 1.0, 5.5), DomainError, "weight count"),
+    (lambda: UniformGrid(0.1, 5.5), DomainError, "grid needs 1 to"),
+    (lambda: frac_integral(_ones(8), gl_weights(0.5, 0.5, 8),
+                           starting_degree=1.5), DomainError,
+     "correction degree"),
+    (lambda: short_memory_integral(_ones(8), gl_weights(-0.5, 0.5, 8), 2.5),
+     DomainError, "memory length"),
+    # complex values: no ComplexWarning and no dropped imaginary part
+    (lambda: SampledSignal(UniformGrid(1.0, 3), np.array([1 + 1j, 2, 3 - 2j])),
+     DomainError, "must be real"),
+    (lambda: SampledSignal.sample(lambda t: np.exp(1j * t),
+                                  UniformGrid(1.0, 3)),
+     DomainError, "must be real"),
+    (lambda: WeightSequence(Scheme.GL, 0.5, 1.0, np.array([1.0, 0.5j])),
+     DomainError, "must be real"),
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
         "integral-exp-negative-t", "integral-monomial-negative-t",
         "derivative-exp-order", "derivative-exp-negative-t",
@@ -102,7 +124,9 @@ def _ones(n):
         "range-derivative-numpy-t", "range-derivative-exp", "range-sin-power",
         "range-sin-phase", "range-sin-zero-omega", "range-brute-force-nan",
         "range-brute-force-overflow", "grid-2^63", "grid-9e20", "gl-2^63",
-        "nc0-2^64"])
+        "nc0-2^64", "gl-count-5.5", "flmm-count-5.5", "nc0-count-5.5",
+        "grid-count-5.5", "starting-degree-1.5", "memory-length-2.5",
+        "complex-signal", "complex-sampled-signal", "complex-weights"])
 def test_typed_error(call, error, fragment):
     # the typed error with its reason, and no numpy warning on the way
     with warnings.catch_warnings():
