@@ -304,6 +304,9 @@ def _parse_modes(spec: str) -> tuple[tuple[float, float, float], ...]:
 def _cmd_dielectric(args) -> None:
     if args.model is not None and (args.verify_ratio or args.time_domain):
         raise _UsageError("--model applies to susceptibility sweeps only")
+    if (len(args.n_exp) != 1 and not args.verify_ratio
+            and args.model in (None, "universal")):
+        raise _UsageError("--n-exp takes one value without --verify-ratio")
     if args.verify_ratio:
         rows = []
         for n_exp in args.n_exp:
@@ -315,8 +318,6 @@ def _cmd_dielectric(args) -> None:
         _emit(("n", "analytic", "numeric", "rel_dev"), *zip(*rows))
         return
     if args.time_domain:
-        if len(args.n_exp) != 1:
-            raise _UsageError("--time-domain takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
         grid = _time_grid(args.dt, args.t_end)
         omega0 = _finite(args.omega0, "probe frequency")
@@ -336,8 +337,6 @@ def _cmd_dielectric(args) -> None:
 
 def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
     if args.model in (None, "universal"):
-        if len(args.n_exp) != 1:
-            raise _UsageError("--model universal takes exactly one --n-exp")
         model = UniversalResponse(args.n_exp[0])
         return np.asarray(universal_susceptibility(model, omegas, args.scale))
     if args.model == "debye":

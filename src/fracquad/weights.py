@@ -1,4 +1,4 @@
-"""Convolution-quadrature weight generation.
+"""Every quadrature rule: its weights, and the one causal pass that sums it.
 
 All supported rules reduce to a discrete causal convolution
 
@@ -22,7 +22,10 @@ produced:
 :func:`flmm_weights` (trapezoid) and :func:`euler_flmm_weights` (implicit
 Euler) raise the multistep series ``(1/2, 1, 1, ...)`` and ``(1, 1, 1, ...)``
 to a real power by the J.C.P. Miller recurrence, an independent check on the
-closed forms.
+closed forms.  The integrators' panel rules are built here too: the
+trapezoid's NC0 rule on panel averages (:func:`_trapezoid_rule`) and the 2-
+and 3-point Newton-Cotes rules, Toeplitz weights plus starting columns whose
+row 0 cancels ``w_0 f_0`` (:func:`_newton_cotes_rule`).
 Starting-weight corrections that restore polynomial exactness near the
 origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
@@ -44,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import AlignmentError, DomainError
 from .special import gamma
 
 __all__ = [
@@ -108,6 +111,8 @@ class WeightSequence:
         if np.iscomplexobj(self.values):
             raise DomainError("weights must be real")
         values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise DomainError(f"weights must be 1-D, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise DomainError(f"weights of order {self.alpha!r} leave the "
                               f"binary64 range on {len(values)} nodes")
@@ -129,9 +134,9 @@ _MAX_COUNT = np.iinfo(np.intp).max
 _BLOCK = 128
 _LEAF_CUTOFF = 1024
 
-#: The sum-of-exponentials engine beats the direct path from _MODES_CUTOFF
-#: samples for one mode term and 1.5 times that for two (measured crossover
-#: 2.6-3.0e3 for one term, 4.3-5.0e3 for two, on 1 and 2 BLAS threads).
+#: The sum-of-exponentials engine runs from _MODES_CUTOFF samples for one
+#: mode term and 1.5 times that for two (measured crossover 1.8-2.3e3 for
+#: one term, 3.8-4.5e3 for two, on 1 and 2 BLAS threads).
 _MODES_CUTOFF = 3000
 
 
@@ -318,16 +323,154 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     """
     _validate_common(alpha, dt, n, "NC0 rule")
     alpha = float(alpha)
-    values = np.empty(n)
-    values[0] = 1.0
-    if n > 1:
-        k = np.arange(1.0, n)
-        values[1:] = np.exp(alpha * np.log(k)) * np.expm1(alpha * np.log1p(1.0 / k))
+    k = np.arange(1.0, n)
+    values = np.r_[1.0, np.exp(alpha * np.log(k))
+                   * np.expm1(alpha * np.log1p(1.0 / k))]
     values *= dt**alpha / gamma(alpha + 1.0)
     # t^(alpha-1) = int u^(-alpha) e^(-u t) du / Gamma(1-alpha), over [k, k+1]
     box = (lambda u, a: -np.expm1(-u) / u, alpha, dt**alpha, False)
     far = _far_field(box)
     return WeightSequence(Scheme.NC0, alpha, dt, values, far)
+
+
+def _trapezoid_rule(alpha: float, dt: float, n: int, method: str) -> _Rule:
+    """The NC0 rule that ``frac_trapezoid`` sums over the panel averages of
+    ``n`` samples: 2 L weights where the ``fft`` engine runs (it reads no
+    more), ``n`` elsewhere."""
+    if n < 2:
+        raise DomainError("trapezoid rule needs at least 2 samples")
+    _validate_common(alpha, dt, n, "NC0 rule")
+    c = nc0_weights(alpha, dt, min(n, 2 * _BLOCK) if method == "fft" else n)
+    if len(c) < n and not _engine_runs(n, c.far_field):
+        c = nc0_weights(alpha, dt, n)
+    return c._rule
+
+
+def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int) -> _Rule:
+    """The rule of :func:`quadrature.frac_newton_cotes`: weights ``v``, their
+    far field and the starting columns (head), scaled by ``dt^alpha /
+    Gamma(alpha)``, after its input checks.
+
+    For j > 0, ``v_j = sin(pi alpha) / pi dt^alpha int u^-alpha (g_A(u) +
+    (-1)^j g_B(u)) e^(-uj) du``, g being the node basis functions of a
+    panel against ``e^(-uy)``: for p = 2 the hat, g_B = 0; for p = 3
+    :func:`_panel_g`, and ``|A_j| + |B_j| <= 2 |v_j|``.
+    """
+    if p not in (2, 3):
+        raise DomainError(f"panel order must be 2 or 3, got {p}")
+    _validate_common(alpha, dt, n, "Newton-Cotes rule")
+    if alpha > 6.0:
+        raise DomainError(f"Newton-Cotes rule needs alpha <= 6, got {alpha!r}")
+    if n < p:
+        raise AlignmentError(f"{n} samples cannot hold a {p}-point panel")
+    if (n - 1) % (p - 1) != 0:
+        raise AlignmentError(f"{n - 1} steps do not tile into panels of "
+                             f"{p - 1} steps")
+    m0, m1, m2 = moments = _panel_moments(alpha, n)
+    if p == 2:
+        # panel i spans distances i..i+1, centre 2i+1 in half-step units,
+        # where its linear basis is (1 -+ s) / 2 and the kernel scales by
+        # 2^-alpha
+        near = 2.0**(-1.0 - alpha) * (m0 - m1)
+        far = 2.0**(-1.0 - alpha) * (m0 + m1)
+        v = near.copy()
+        v[1:] += far[:-1]
+        # node 0 closes the last panel and has no panel beyond it
+        columns = -near[np.newaxis, :]
+        # the hat on [-1, 1]: int (1 - |y|) e^(-uy) dy
+        terms = [(lambda u, a: (2.0 * np.sinh(0.5 * u) / u)**2, False)]
+    else:
+        # panel i spans distances 2i..2i+2 (centre 2i+1)
+        near = 0.5 * (m2 - m1)
+        mid = m0 - m2
+        far = 0.5 * (m2 + m1)
+        v = np.zeros(n)
+        v[0::2] = near[: (n + 1) // 2]
+        v[2::2] += far[: (n - 1) // 2]
+        v[1::2] = mid[: n // 2]
+        columns = np.zeros((3, n))
+        columns[0, 0::2] = -near[: (n + 1) // 2]
+        # odd nodes: the two-step panels end on node 1 and the Toeplitz
+        # weight reaching node 0 is replaced by the one-step leading panel
+        # on distances m-1..m: centre 2m-1 in half-step units, where nodes
+        # 0, 1, 2 sit at s = 1, -1, -3
+        l0, l1, l2 = moments[:, : n - 1: 2]
+        odd = columns[:, 1::2]
+        odd[:] = 2.0**-alpha / 8.0 * np.stack([
+            l2 + 4.0 * l1 + 3.0 * l0,
+            -2.0 * (l2 + 2.0 * l1 - 3.0 * l0),
+            l2 - l0,
+        ])
+        odd[0] -= mid[: n // 2]
+        odd[1] -= near[: n // 2]
+        terms = [(lambda u, a: _panel_g(u, 1.0), False),
+                 (lambda u, a: _panel_g(u, -1.0), True)]
+    scale = dt**alpha / gamma(alpha)
+    v *= scale
+    far = _far_field(*((g, alpha, dt**alpha, alt) for g, alt in terms))
+    return _Rule(v, far, columns.T * scale)
+
+
+def _panel_g(u: np.ndarray, sign: float) -> np.ndarray:
+    """``g_A > 0`` (sign 1) or ``g_B < 0`` (sign -1) of the 3-point rule,
+    ``(g_end + sign g_mid) / 2`` for the end and mid node basis functions
+    against ``e^(-uy)``: the one-signed series of their moments in u^2 (the
+    closed forms cancel as u -> 0), at rounding after ten terms for
+    u <= 40 / (L + 1), the modes' range."""
+    k = np.arange(10.0)
+    coeffs = 2.0 * (4.0**k * (1.0 - 2.0 * k) / (2.0 * k + 2.0) + sign) / (
+        (2.0 * k + 1.0) * (2.0 * k + 3.0))
+    coeffs[1:] /= np.cumprod(2.0 * k[1:] * (2.0 * k[1:] - 1.0))  # (2k)!
+    y, out = u * u, coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * y + c
+    return out
+
+
+#: Powers y^0 .. y^19 of ``y = C^-2`` for the 16 centres C < 33 (at C = 3
+#: the tail shrinks like 3^-40), built once; from C = 33 on 7 powers are kept
+#: (y^7 <= 1089^-7 < 1e-21).
+_NEAR_POWERS = np.cumprod(
+    [np.ones(16)] + [(1.0 / np.arange(1.0, 33.0, 2.0))**2] * 19, axis=0)
+
+
+def _panel_moments(alpha: float, n: int) -> np.ndarray:
+    """Kernel moments ``M_q(C) = int_{-1}^{1} s^q (C + s)^(alpha-1) ds``.
+
+    Returns shape (3, n): rows q = 0, 1, 2 at the odd centres
+    ``C = 1, 3, ..., 2n - 1``.  C = 1, the panel touching the kernel
+    singularity, uses the closed form.  Every other centre sums the series
+    ``C^(alpha-1) sum_k C(alpha-1, k) C^-k int s^(q+k) ds``, whose leading
+    term dominates: all rows as a (3 x powers) coefficient matrix times a
+    power table of ``C^-2`` (:data:`_NEAR_POWERS`, then 7 powers).  The
+    closed form in powers of ``C +- 1`` cancels: it loses a factor of up to
+    ``C^2``, already ~1e-13 relative at C = 3.
+    """
+    centres = np.arange(1.0, 2.0 * n, 2.0)
+    k = np.arange(1.0, 2 * len(_NEAR_POWERS))
+    binom = np.concatenate(([1.0], np.cumprod((alpha - k) / k)))
+    odd = k[::2]  # y^i in row q: 2 C(alpha-1, k) / (q+k+1), k = 2i + q%2
+    coeffs = 2.0 * np.stack([binom[0::2] / odd, binom[1::2] / (odd + 2.0),
+                             binom[0::2] / (odd + 2.0)])
+    x = 1.0 / centres
+    y = x[16:] * x[16:]
+    powers = np.empty((7, len(y)))
+    powers[0] = 1.0
+    for i in range(1, 7):  # cumprod, without its slow axis-0 loop
+        np.multiply(powers[i - 1], y, out=powers[i])
+    moments = np.empty((3, n))
+    moments[:, :16] = coeffs @ _NEAR_POWERS[:, :n]
+    moments[:, 16:] = coeffs[:, :7] @ powers
+    moments[1] *= x
+    moments *= centres**(alpha - 1.0)
+    # C = 1: int_0^2 (u - 1)^q u^(alpha-1) du, reduced to one fraction
+    a = alpha
+    moments[:, 0] = 2.0**a / a * np.array([
+        1.0,
+        (a - 1.0) / (a + 1.0),
+        (a * a - a + 2.0) / ((a + 1.0) * (a + 2.0)),
+    ])
+    return moments
 
 
 def flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
@@ -346,33 +489,23 @@ def euler_flmm_weights(alpha: float, dt: float, n: int) -> WeightSequence:
 def _miller_weights(scheme: Scheme, u0: float, alpha: float, dt: float,
                     n: int) -> WeightSequence:
     """``dt^alpha`` times the series of ``u(z)^alpha``, ``u = (u0, 1, 1,
-    ...)``, tagged ``scheme``."""
-    _validate_common(alpha, dt, n)
-    alpha = float(alpha)
-    u = np.r_[u0, np.ones(n - 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _series_power(u, alpha, n) * np.float64(dt)**alpha
-    return WeightSequence(scheme, alpha, dt, v)
-
-
-def _series_power(u: np.ndarray, alpha: float, n: int) -> np.ndarray:
-    """First ``n`` coefficients of ``u(z)^alpha`` via Miller's recurrence.
+    ...)``, tagged ``scheme``, by Miller's recurrence.
 
     The bracket pairs large terms of opposite sign, so the recurrence runs
     in extended precision and rounds to binary64 once at the end.
     """
-    v = np.empty(n, dtype=np.longdouble)
-    u = np.asarray(u, dtype=np.longdouble)
-    alpha = np.longdouble(alpha)
-    u0 = u[0]
-    v[0] = u0**alpha
-    ku = np.arange(len(u)) * u
-    for m in range(1, n):
-        us = u[1: m + 1]
-        kus = ku[1: m + 1]
-        vs = v[m - 1:: -1]
-        v[m] = ((alpha + 1.0) * np.dot(kus, vs) - m * np.dot(us, vs)) / (m * u0)
-    return v.astype(float)
+    _validate_common(alpha, dt, n)
+    alpha = float(alpha)
+    a, u0 = np.longdouble(alpha), np.longdouble(u0)
+    k, ones = np.arange(n, dtype=np.longdouble), np.ones(n, np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.full(n, u0**a)
+        for m in range(1, n):
+            vs = v[m - 1:: -1]
+            v[m] = ((a + 1.0) * np.dot(k[1: m + 1], vs)
+                    - m * np.dot(ones[:m], vs)) / (m * u0)
+        values = v.astype(float) * np.float64(dt)**alpha
+    return WeightSequence(scheme, alpha, dt, values)
 
 
 def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
@@ -382,7 +515,7 @@ def weights_for_scheme(scheme: Scheme, alpha: float, dt: float,
     ``Scheme.FLMM_TRAP``: ``w_k = (dt/2)^alpha sum_j C(alpha, j) b_(k-j)``,
     ``b`` the GL series at dt = 1, within ``(k+1) eps`` times the same sum
     of absolute terms, by the engine over ``b``'s far field from
-    ``_MODES_CUTOFF`` weights (median 8.0 ms at N = 2^16, alpha = 0.5,
+    ``_MODES_CUTOFF`` weights (median 4.1 ms at N = 2^16, alpha = 0.5,
     one BLAS thread); a negative ``alpha`` gives derivative-role weights.
     """
     if scheme is Scheme.GL:

@@ -10,12 +10,12 @@ st = hypothesis.strategies
 from fracquad.quadrature import (  # noqa: E402
     SampledSignal,
     UniformGrid,
-    _newton_cotes_rule,
     frac_integral,
     frac_newton_cotes,
 )
 from fracquad.weights import (  # noqa: E402
     Scheme,
+    _newton_cotes_rule,
     gl_weights,
     weights_for_scheme,
 )

@@ -111,6 +111,13 @@ def _ones(n):
      DomainError, "must be real"),
     (lambda: WeightSequence(Scheme.GL, 0.5, 1.0, np.array([1.0, 0.5j])),
      DomainError, "must be real"),
+    # weights of another shape: no bare ValueError or TypeError later
+    (lambda: frac_integral(_ones(4), WeightSequence(
+        Scheme.GL, 0.5, 0.5, np.ones((4, 4)))), DomainError, "must be 1-D"),
+    (lambda: WeightSequence(Scheme.GL, 0.5, 0.1, np.ones((4, 1))),
+     DomainError, "must be 1-D"),
+    (lambda: frac_integral(_ones(4), WeightSequence(Scheme.GL, 0.5, 0.5, 3.0)),
+     DomainError, "must be 1-D"),
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
         "integral-exp-negative-t", "integral-monomial-negative-t",
         "derivative-exp-order", "derivative-exp-negative-t",
@@ -126,7 +133,8 @@ def _ones(n):
         "range-brute-force-overflow", "grid-2^63", "grid-9e20", "gl-2^63",
         "nc0-2^64", "gl-count-5.5", "flmm-count-5.5", "nc0-count-5.5",
         "grid-count-5.5", "starting-degree-1.5", "memory-length-2.5",
-        "complex-signal", "complex-sampled-signal", "complex-weights"])
+        "complex-signal", "complex-sampled-signal", "complex-weights",
+        "weights-2d", "weights-column", "weights-scalar"])
 def test_typed_error(call, error, fragment):
     # the typed error with its reason, and no numpy warning on the way
     with warnings.catch_warnings():

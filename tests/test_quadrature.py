@@ -25,8 +25,6 @@ from fracquad.oracle import (
 from fracquad.quadrature import (
     SampledSignal,
     UniformGrid,
-    _newton_cotes_rule,
-    _panel_moments,
     frac_integral,
     frac_newton_cotes,
     frac_trapezoid,
@@ -43,6 +41,8 @@ from fracquad.weights import (
     _evaluate,
     _modes,
     _monomial_defects,
+    _newton_cotes_rule,
+    _panel_moments,
     _Rule,
     flmm_weights,
     gl_weights,
