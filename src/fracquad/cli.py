@@ -91,11 +91,10 @@ def _load_csv_signal(path: str) -> SampledSignal:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     if not lines or [c.strip() for c in lines[0].split(",")] != ["t", "f"]:
         raise DomainError(f"{path}:1: expected header 't,f'")
+    rows = [(lineno, line.split(","))
+            for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     ts, fs = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    for lineno, parts in rows:
         if len(parts) != 2:
             raise DomainError(f"{path}:{lineno}: expected 2 fields")
         try:
@@ -112,12 +111,10 @@ def _load_csv_signal(path: str) -> SampledSignal:
     expected = t[0] + dt * np.arange(len(t))
     bad = np.nonzero(np.abs(t - expected) > 1e-9 * dt)[0]
     if t[0] != 0.0:
-        raise DomainError(f"{path}:2: grid must start at t = 0")
+        raise DomainError(f"{path}:{rows[0][0]}: grid must start at t = 0")
     if bad.size:
-        raise DomainError(
-            f"{path}:{bad[0] + 2}: node off the uniform grid by more than "
-            "1e-9*dt"
-        )
+        raise DomainError(f"{path}:{rows[bad[0]][0]}: node off the uniform "
+                          "grid by more than 1e-9*dt")
     return SampledSignal(UniformGrid(float(dt), len(t)), np.array(fs))
 
 
@@ -279,13 +276,11 @@ def _parse_omega_range(spec: str, log_spacing: bool) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise DomainError(f"--omega-range endpoints and their span must be "
                           f"finite, got {spec!r}")
+    if log_spacing and (lo <= 0 or hi <= 0):
+        raise _UsageError("--log-omega needs positive endpoints")
     if count == 1 or lo == hi:
         return np.full(count, lo)
-    if log_spacing:
-        if lo <= 0 or hi <= 0:
-            raise _UsageError("--log-omega needs positive endpoints")
-        return np.geomspace(lo, hi, count)
-    return np.linspace(lo, hi, count)
+    return (np.geomspace if log_spacing else np.linspace)(lo, hi, count)
 
 
 def _parse_modes(spec: str) -> tuple[tuple[float, float, float], ...]:
@@ -340,9 +335,8 @@ def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
         model = UniversalResponse(args.n_exp[0])
         return np.asarray(universal_susceptibility(model, omegas, args.scale))
     if args.model == "debye":
-        model = DebyeModel(n_density=args.n_density,
-                           a_coupling=args.a_coupling,
-                           tau=args.tau, eps0=args.eps0)
+        model = DebyeModel(n_density=args.n_density, tau=args.tau,
+                           eps0=args.eps0)
         return np.asarray(debye_susceptibility(model, omegas))
     if args.modes is None:  # lorentz
         raise _UsageError("--model lorentz requires --modes")
@@ -412,7 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--scheme", choices=sorted(_SCHEME_NAMES),
                       help="quadrature backing the rl route (default gl)")
     diff.add_argument("--direction", choices=["backward", "forward"],
-                      default="backward")
+                      default="backward",
+                      help="forward sums the later samples; its exact column "
+                           "is still the left-sided derivative, so abs_err "
+                           "and rel_err do not measure the forward rule")
     diff.set_defaults(func=_cmd_differentiate, oracle=False)
 
     conv = sub.add_parser("convergence",
@@ -436,8 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       type=lambda s: [float(x) for x in s.split(",")])
     diel.add_argument("--scale", type=float, default=1.0)
     diel.add_argument("--n-density", dest="n_density", type=float,
-                      default=1.0)
-    diel.add_argument("--a-coupling", dest="a_coupling", type=float,
                       default=1.0)
     diel.add_argument("--tau", type=float, default=1.0)
     diel.add_argument("--eps0", type=float, default=1.0)

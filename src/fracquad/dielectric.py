@@ -4,7 +4,7 @@ Frequency-domain susceptibilities follow the physics sign convention of a
 ``exp(-j omega t)`` time dependence, under which every dissipative response
 carries a *positive* imaginary part:
 
-* Debye:    ``chi(w) = (1/eps0) N a tau / (1 - j w tau)``
+* Debye:    ``chi(w) = (N / eps0) tau / (1 - j w tau)``
 * Lorentz:  ``chi(w) = (N / eps0) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``
 * universal power law: ``chi(w) = scale * w^(n-1) exp(+j pi (1 - n) / 2)``,
   the high-frequency ``(j w)^(n-1)`` branch consistent with the two models
@@ -15,8 +15,10 @@ integral of the driving field, ``P(t) = eps0 * I^alpha[E](t)`` with
 ``alpha = 1 - n``, and :func:`verify_universal_ratio` closes the loop by
 re-extracting the loss tangent from a steady-state sinusoid fit of that
 time-domain response.  All quantities are dimensionless model units: the
-Lorentz density N carries e^2/m, and the fractional constitutive law absorbs
-a time^alpha scale that the frequency picture never sees.
+density N carries the coupling (the dipole coupling for Debye, e^2/m for
+Lorentz), and the fractional constitutive law absorbs a time^alpha scale
+that the frequency picture never sees.  N, eps0, tau and scale are positive
+and finite; omega is finite and >= 0 (> 0 for the power law).
 """
 
 from __future__ import annotations
@@ -66,21 +68,15 @@ class UniversalResponse:
 
 @dataclass(frozen=True)
 class DebyeModel:
-    """Single-relaxation-time dipole model."""
+    """Single-relaxation-time dipole model; ``n_density`` carries the
+    dipole coupling."""
 
     n_density: float = 1.0
-    a_coupling: float = 1.0
     tau: float = 1.0
     eps0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.n_density, self.a_coupling,
-                                       self.tau, self.eps0))):
-            raise DomainError(f"Debye parameters must be finite, got {self}")
-        if not self.tau > 0.0:
-            raise DomainError(f"relaxation time must be positive, got {self.tau!r}")
-        if not min(self.n_density, self.a_coupling, self.eps0) > 0.0:
-            raise DomainError("density, coupling and eps0 must be positive")
+        _positive(n_density=self.n_density, tau=self.tau, eps0=self.eps0)
 
 
 class LorentzMode(NamedTuple):
@@ -94,7 +90,7 @@ class LorentzEnsemble:
     """Damped-oscillator electron ensemble.
 
     ``modes`` holds ``(weight, omega, damping)`` triples; the weights must
-    add up to the electrons-per-molecule count declared at construction.
+    add up to ``electrons_per_molecule`` where one is declared.
     """
 
     modes: tuple[LorentzMode, ...]
@@ -106,10 +102,7 @@ class LorentzEnsemble:
         modes = tuple(LorentzMode(*m) for m in self.modes)
         if not modes:
             raise DomainError("ensemble needs at least one mode")
-        if not all(map(math.isfinite, (self.n_density, self.eps0))):
-            raise DomainError("ensemble constants must be finite")
-        if not min(self.n_density, self.eps0) > 0.0:
-            raise DomainError("density and eps0 must be positive")
+        _positive(n_density=self.n_density, eps0=self.eps0)
         for m in modes:
             if not (all(map(math.isfinite, m)) and m.weight >= 0.0
                     and m.omega > 0.0 and m.damping >= 0.0):
@@ -117,20 +110,27 @@ class LorentzEnsemble:
         object.__setattr__(self, "modes", modes)
         total = sum(m.weight for m in modes)
         declared = self.electrons_per_molecule
-        if declared is None:
-            object.__setattr__(self, "electrons_per_molecule", total)
-        elif not math.isclose(total, declared, rel_tol=1e-9, abs_tol=1e-12):
+        if declared is not None and not math.isclose(
+                total, declared, rel_tol=1e-9, abs_tol=1e-12):
             raise DomainError(
                 f"mode weights sum to {total:g}, expected "
                 f"{declared:g} electrons per molecule"
             )
 
 
+def _positive(**constants: float) -> None:
+    """DomainError naming the first constant that is not finite and > 0."""
+    for name, value in constants.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(
+                f"{name} must be positive and finite, got {value!r}")
+
+
 def _finite(omega) -> np.ndarray:
-    """``omega`` as a float array, every entry finite."""
+    """``omega`` as a float array, every entry finite and >= 0."""
     omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise DomainError("omega must be finite")
+    if not np.all((omega >= 0.0) & (omega < math.inf)):
+        raise DomainError("omega must be finite and >= 0")
     return omega
 
 
@@ -150,8 +150,7 @@ def universal_susceptibility(model: UniversalResponse, omega,
     convention, ``omega^(n-1) * exp(+j pi (1-n)/2)``, which keeps the loss
     part positive and the ratio ``chi''/chi' = cot(n pi/2)``.
     """
-    if not 0.0 < scale < math.inf:
-        raise DomainError(f"scale must be positive and finite, got {scale!r}")
+    _positive(scale=scale)
     omega = _finite(omega)
     if np.any(omega <= 0.0):
         raise DomainError("the power law is defined for omega > 0 only")
@@ -164,9 +163,10 @@ def universal_susceptibility(model: UniversalResponse, omega,
 
 
 def debye_susceptibility(model: DebyeModel, omega):
-    """Debye susceptibility ``(1/eps0) N a tau / (1 - j omega tau)``."""
+    """Debye susceptibility ``(N / eps0) tau / (1 - j omega tau)``, N
+    carrying the dipole coupling."""
     omega = _finite(omega)
-    static = model.n_density * model.a_coupling * model.tau / model.eps0
+    static = model.n_density * model.tau / model.eps0
     with np.errstate(over="ignore", invalid="ignore"):
         chi = static / (1.0 - 1j * omega * model.tau)
     return _result(chi, "Debye")
@@ -180,8 +180,6 @@ def lorentz_susceptibility(model: LorentzEnsemble, omega):
     exact pole) when probed at or next to an undamped resonance.
     """
     omega = _finite(omega)
-    if np.any(omega < 0.0):
-        raise DomainError("omega must be >= 0")
     prefactor = model.n_density / model.eps0
     chi = np.zeros(omega.shape, dtype=complex)
     pole = np.zeros(omega.shape, dtype=bool)
@@ -221,8 +219,7 @@ def fractional_polarization(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not math.isfinite(eps0):
-        raise DomainError(f"eps0 must be finite, got {eps0!r}")
+    _positive(eps0=eps0)
     grid = e_field.grid
     weights = weights_for_scheme(scheme, alpha, grid.dt, grid.n)
     out = frac_integral(e_field, weights, method=method)

@@ -130,6 +130,21 @@ def test_integrate_csv_schema_error(capsys, tmp_path):
     assert ":4:" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("t,f\n0.0,1.0\n\n0.5,2.0\n1.1,3.0\n", 5),
+    ("t,f\n\n1.0,1.0\n2.0,2.0\n", 3),
+], ids=["off-grid", "origin"])
+def test_integrate_csv_error_names_file_line_after_blank(capsys, tmp_path,
+                                                         text, line):
+    # a blank line is skipped, but still counted in the line number
+    path = tmp_path / "gap.csv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "integrate", "--f", f"csv:{path}",
+                           "--alpha", "0.5")
+    assert code == 1
+    assert f"{path}:{line}:" in err
+
+
 def test_integrate_missing_file(capsys):
     code, _, err = run_cli(capsys, "integrate", "--f", "csv:/no/such.csv",
                            "--alpha", "0.5")
@@ -326,6 +341,12 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("dielectric", "--omega-range", "1:2"), None, 2),
     (("dielectric", "--omega-range", "1:2:0"), None, 2),
     (("dielectric", "--omega-range", "0:10:5", "--log-omega"), None, 2),
+    (("dielectric", "--model", "debye", "--omega-range=-5:10:1",
+      "--log-omega"), None, 2),
+    (("dielectric", "--model", "debye", "--omega-range=0:0:3",
+      "--log-omega"), None, 2),
+    (("dielectric", "--model", "debye", "--omega-range=-2:-2:2",
+      "--log-omega"), None, 2),
     (("dielectric", "--omega-range", "inf:10:5"), None, 1),
     (("dielectric", "--model", "lorentz", "--modes", "1:1"), None, 2),
     (("dielectric", "--model", "lorentz", "--modes", "a:1:0.1"), None, 2),
@@ -396,7 +417,7 @@ _PAST_BINARY64 = [
       "5e-324", "--count", "1", "--derivative"), "weights of order"),
     (("coeffs", "--scheme", "gl", "--alpha", "0.5", "--dt", "1", "--count",
       "900000000000000000000"), "weight count must be <="),
-    (("dielectric", "--model", "debye", "--tau", "1e300", "--a-coupling",
+    (("dielectric", "--model", "debye", "--tau", "1e300", "--n-density",
       "1e300", "--omega-range", "1:2:2"), "Debye susceptibility leaves"),
     (("dielectric", "--model", "universal", "--omega-range", "1e-310:800:3",
       "--n-exp", "1e-20", "--scale", "2"), "universal susceptibility leaves"),
@@ -590,11 +611,13 @@ def test_verify_ratio_degenerate_fit_exit_one(capsys, n_exp, dt):
     (("--model", "lorentz", "--modes", "1:1:0.1", "--n-density", "-1"),
      "density"),
     (("--model", "debye", "--tau", "inf"), "finite"),
-    (("--model", "debye", "--a-coupling", "-1"), "coupling"),
-    (("--model", "debye", "--a-coupling", "0"), "coupling"),
+    (("--model", "debye", "--n-density", "-1"), "density"),
+    (("--model", "debye", "--n-density", "0"), "density"),
+    (("--model", "debye", "--omega-range=-5:10:3"), "omega"),
     (("--verify-ratio", "--omega0", "inf"), "probe frequency"),
     (("--time-domain", "--omega0", "inf"), "probe frequency"),
     (("--time-domain", "--eps0", "nan"), "eps0"),
+    (("--time-domain", "--eps0", "-1"), "eps0"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
 def test_dielectric_non_finite_input_exit_one(argv, word):
     # one typed error line naming the input, no NaN rows, no RuntimeWarning

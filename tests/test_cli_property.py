@@ -106,7 +106,7 @@ def dielectric_argv(draw):
     lo, hi = draw(values), draw(values)
     argv += [f"--omega-range={lo!r}:{hi!r}:{draw(counts)}",
              flag("scale", draw(values)), flag("n-density", draw(values)),
-             flag("a-coupling", draw(values)), flag("tau", draw(values))]
+             flag("tau", draw(values))]
     if draw(st.booleans()):
         argv.append("--log-omega")
     model = draw(st.sampled_from((None, "universal", "debye", "lorentz")))

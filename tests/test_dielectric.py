@@ -60,8 +60,8 @@ def test_universal_susceptibility_domain():
 
 
 def test_debye_static_and_knee():
-    model = DebyeModel(n_density=2.0, a_coupling=3.0, tau=0.5, eps0=1.5)
-    static = 2.0 * 3.0 * 0.5 / 1.5
+    model = DebyeModel(n_density=6.0, tau=0.5, eps0=1.5)
+    static = 6.0 * 0.5 / 1.5
     assert debye_susceptibility(model, 0.0) == pytest.approx(static)
     knee = debye_susceptibility(model, 1.0 / model.tau)
     assert abs(knee) == pytest.approx(static / math.sqrt(2.0), rel=1e-13)
@@ -103,6 +103,8 @@ def test_lorentz_weight_budget():
                     electrons_per_molecule=3.0)
     with pytest.raises(DomainError):
         LorentzEnsemble(modes=((1.0, 1.0, 0.1),), electrons_per_molecule=2.0)
+    # an undeclared count stays undeclared
+    assert LorentzEnsemble(((1.0, 1.0, 0.1),)).electrons_per_molecule is None
 
 
 @pytest.mark.parametrize("constant", [
@@ -116,11 +118,11 @@ def test_lorentz_nonpositive_constants_rejected(constant):
 
 
 @pytest.mark.parametrize("constant", [
-    {"a_coupling": -1.0}, {"a_coupling": 0.0}, {"n_density": 0.0},
+    {"n_density": -1.0}, {"eps0": 0.0}, {"n_density": 0.0},
     {"eps0": -1.0},
 ], ids=repr)
 def test_debye_nonpositive_constants_rejected(constant):
-    # the static value N a tau / eps0: a zero coupling gives chi = 0, a
+    # the static value N tau / eps0: a zero density gives chi = 0, a
     # negative one flips the sign of chi (an active medium)
     with pytest.raises(DomainError, match="positive"):
         DebyeModel(**constant)
@@ -220,7 +222,7 @@ _FIELD = SampledSignal(UniformGrid(0.05, 16), np.ones(16))
     (lambda: lorentz_susceptibility(LorentzEnsemble(((1.0, 1.0, 0.1),)),
                                     [2.0, math.nan]), "omega"),
     (lambda: DebyeModel(tau=math.inf), "finite"),
-    (lambda: DebyeModel(a_coupling=math.nan), "finite"),
+    (lambda: DebyeModel(n_density=math.nan), "finite"),
     (lambda: LorentzEnsemble(((1.0, math.nan, 0.1),)), "mode"),
     (lambda: LorentzEnsemble(((1.0, 1.0, math.inf),)), "mode"),
     (lambda: LorentzEnsemble(((1.0, 1.0, 0.1),), n_density=math.inf),
@@ -228,7 +230,7 @@ _FIELD = SampledSignal(UniformGrid(0.05, 16), np.ones(16))
     (lambda: fractional_polarization(_FIELD, 0.5, eps0=math.nan), "eps0"),
     (lambda: verify_universal_ratio(0.5, omega0=math.inf), "probe"),
 ], ids=["universal-omega", "universal-scale", "debye-omega",
-        "lorentz-omega", "debye-tau", "debye-coupling", "lorentz-omega0",
+        "lorentz-omega", "debye-tau", "debye-density", "lorentz-omega0",
         "lorentz-damping", "lorentz-density", "polarization-eps0",
         "ratio-omega0"])
 def test_non_finite_inputs_rejected(call, match):

@@ -10,6 +10,7 @@ import pytest
 import fracquad
 from fracquad.derivative import rl_derivative_via_integral
 from fracquad.dielectric import (DebyeModel, LorentzEnsemble,
+                                 debye_susceptibility,
                                  fractional_polarization,
                                  lorentz_susceptibility)
 from fracquad.exceptions import AlignmentError, DomainError
@@ -31,10 +32,17 @@ def _ones(n):
 
 
 @pytest.mark.parametrize("call, error, fragment", [
-    (lambda: DebyeModel(tau=0.0), DomainError, "relaxation time"),
+    (lambda: DebyeModel(tau=0.0), DomainError, "tau must be positive"),
     (lambda: LorentzEnsemble(modes=()), DomainError, "at least one mode"),
     (lambda: lorentz_susceptibility(LorentzEnsemble(((1.0, 1.0, 0.1),)),
                                     [1.0, -1.0]), DomainError, "omega"),
+    # the sign convention: omega < 0 or eps0 < 0 would flip the loss part
+    (lambda: debye_susceptibility(DebyeModel(), -1.0), DomainError,
+     "omega must be finite and >= 0"),
+    (lambda: fractional_polarization(_ones(4), 0.5, eps0=0.0), DomainError,
+     "eps0 must be positive"),
+    (lambda: fractional_polarization(_ones(4), 0.5, eps0=-1.0), DomainError,
+     "eps0 must be positive"),
     (lambda: exact_integral_exp(-1.0, 0.5), DomainError, "t >= 0"),
     (lambda: exact_integral_monomial(-1.0, 0.5, 1.0), DomainError, "t >= 0"),
     (lambda: exact_derivative_exp(1.0, 1.5), DomainError, "(0, 1)"),
@@ -119,6 +127,8 @@ def _ones(n):
     (lambda: frac_integral(_ones(4), WeightSequence(Scheme.GL, 0.5, 0.5, 3.0)),
      DomainError, "must be 1-D"),
 ], ids=["debye-tau-zero", "lorentz-no-modes", "lorentz-negative-omega",
+        "debye-negative-omega", "polarization-eps0-zero",
+        "polarization-eps0-negative",
         "integral-exp-negative-t", "integral-monomial-negative-t",
         "derivative-exp-order", "derivative-exp-negative-t",
         "derivative-sin-inf-t", "derivative-sin-nan-omega",
