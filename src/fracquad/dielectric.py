@@ -24,13 +24,12 @@ and finite; omega is finite and >= 0 (> 0 for the power law).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, FitError, ResonanceWarning
+from .exceptions import DomainError, FitError
 from .quadrature import SampledSignal, UniformGrid, frac_integral
 from .weights import Scheme, weights_for_scheme
 
@@ -89,8 +88,9 @@ class LorentzMode(NamedTuple):
 class LorentzEnsemble:
     """Damped-oscillator electron ensemble.
 
-    ``modes`` holds ``(weight, omega, damping)`` triples; the weights must
-    add up to ``electrons_per_molecule`` where one is declared.
+    ``modes`` holds finite ``(weight, omega, damping)`` triples, weight >= 0
+    and omega, damping > 0; the weights must add up to
+    ``electrons_per_molecule`` where one is declared.
     """
 
     modes: tuple[LorentzMode, ...]
@@ -105,7 +105,7 @@ class LorentzEnsemble:
         _positive(n_density=self.n_density, eps0=self.eps0)
         for m in modes:
             if not (all(map(math.isfinite, m)) and m.weight >= 0.0
-                    and m.omega > 0.0 and m.damping >= 0.0):
+                    and m.omega > 0.0 and m.damping > 0.0):
                 raise DomainError(f"invalid mode {m}")
         object.__setattr__(self, "modes", modes)
         total = sum(m.weight for m in modes)
@@ -134,10 +134,10 @@ def _finite(omega) -> np.ndarray:
     return omega
 
 
-def _result(chi: np.ndarray, model: str, pole=False):
-    """``chi``, a complex for a scalar omega; a cell past binary64, other
-    than a warned pole, raises DomainError naming the susceptibility."""
-    if not np.all(np.isfinite(chi) | pole):
+def _result(chi: np.ndarray, model: str):
+    """``chi``, a complex for a scalar omega; a cell past binary64 raises
+    DomainError naming the susceptibility."""
+    if not np.all(np.isfinite(chi)):
         raise DomainError(f"{model} susceptibility leaves the binary64 range")
     return chi if chi.ndim else complex(chi)
 
@@ -175,34 +175,19 @@ def debye_susceptibility(model: DebyeModel, omega):
 def lorentz_susceptibility(model: LorentzEnsemble, omega):
     """Oscillator-ensemble susceptibility.
 
-    ``(N / eps0) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``, N carrying e^2/m.
-    Emits a :class:`ResonanceWarning` (and yields an infinite value at the
-    exact pole) when probed at or next to an undamped resonance.
+    ``(N / eps0) sum_i f_i / ((w_i^2 - w^2) - j g_i w)``, N carrying e^2/m;
+    a cell past binary64, as at a near-lossless resonance, raises DomainError.
     """
     omega = _finite(omega)
     prefactor = model.n_density / model.eps0
     chi = np.zeros(omega.shape, dtype=complex)
-    pole = np.zeros(omega.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for mode in model.modes:
             denom = ((mode.omega * mode.omega - omega * omega)
                      - 1j * mode.damping * omega)
-            near = np.abs(omega - mode.omega) < mode.damping / 100.0
-            at_pole = denom == 0.0
-            pole |= at_pole
-            if np.any(near) or np.any(at_pole):
-                warnings.warn(
-                    f"evaluation within gamma/100 of the resonance at "
-                    f"omega={mode.omega:g}",
-                    ResonanceWarning,
-                    stacklevel=2,
-                )
-            term = np.where(at_pole,
-                            np.inf + 0j,
-                            mode.weight / np.where(at_pole, 1.0, denom))
-            chi = chi + term
+            chi = chi + mode.weight / denom
         chi = prefactor * chi
-    return _result(chi, "Lorentz", pole)
+    return _result(chi, "Lorentz")
 
 
 def fractional_polarization(

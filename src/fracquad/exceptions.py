@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 __all__ = [
     "FracquadError",
@@ -9,7 +9,6 @@ __all__ = [
     "AlignmentError",
     "ToleranceNotMet",
     "FitError",
-    "ResonanceWarning",
 ]
 
 
@@ -45,7 +44,3 @@ class ToleranceNotMet(FracquadError, ArithmeticError):
 
 class FitError(FracquadError, ArithmeticError):
     """A steady-state sinusoid fit left a residual too large to trust."""
-
-
-class ResonanceWarning(UserWarning):
-    """An oscillator mode was evaluated at or next to an undamped resonance."""

@@ -15,10 +15,13 @@ rule alone: 0 for the integrals, inf for ``D^alpha[e^u]``, and for
 ``D^alpha[u^q]`` 0 above q = alpha, Gamma(q+1) at it, and below it signed
 inf, or 0 on a pole.  Past binary64 each raises one DomainError naming
 itself and its arguments; below the subnormal range it returns a signed 0.
-The power rule's last resort is lgamma, so past about 2.56e305 in q or in
-q + 1 + nu, where lgamma overflows, it can raise that error for a value that
-is finite or 0: ``exact_integral_monomial(1.0, 0.5, 3e305)`` is about
-5.8e-153 and ``exact_integral_monomial(1e200, 1e306, 2.0)`` is 0.
+Past gamma's range the power rule is one exponential of Stirling's
+difference ln Gamma(q+1) - ln Gamma(q+1+nu), so it reaches every finite q
+and nu: ``exact_integral_monomial(1.0, 0.5, 3e305)`` is 1.826e-153 and
+``exact_integral_monomial(1e200, 1e306, 2.0)`` is 0.  On 3300 such points,
+q up to 1.7e308, 400-digit mpmath puts it within 0.79 of ``(16 + |ln R| +
+|(q + nu) ln t|) eps``, R the gamma ratio, with every 0 and range error
+where mpmath has them.
 
 On over 11 800 points per oracle, 40-digit mpmath puts the power rule within
 0.89 and the exp oracles within 0.39 of their property tests' bounds, the
@@ -40,7 +43,7 @@ import math
 from typing import Callable
 
 from .exceptions import DomainError, ToleranceNotMet
-from .special import _lgamma, _log_p, gamma, lower_incomplete_gamma
+from .special import _log_p, gamma, lower_incomplete_gamma
 
 __all__ = [
     "exact_integral_const",
@@ -54,6 +57,7 @@ __all__ = [
 
 _MAX_ORACLE_EVALS = 1 << 20
 _NORMAL_MIN = 2.0**-1022
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _reference(fn):
@@ -84,7 +88,7 @@ def _power_rule(t: float, q: float, order: float) -> float:
     q, t >= 0; at t = 0 its t -> 0+ limit, 0, the ratio or signed inf.
     Left of 1/2 by reflection about the nearest integer -n, at a distance d
     rounded once, so only an exact pole gives 0; past the normal range by
-    one exponential, 0 if only lgamma(x) overflows."""
+    one exponential, of :func:`_log_power` right of 1/2."""
     if not (0.0 <= t < math.inf and 0.0 <= q < math.inf):
         raise DomainError(f"requires finite t >= 0, q >= 0, got {t!r}, {q!r}")
     x = math.fsum((q, 1.0, order))
@@ -111,9 +115,54 @@ def _power_rule(t: float, q: float, order: float) -> float:
             return value
     except OverflowError:
         pass
+    if x >= 0.5:
+        return math.exp(_log_power(t, q, order, x))
     return math.copysign(math.exp(math.lgamma(q + 1.0) + (
-        math.lgamma(-(q + order)) + math.log(abs(s)) if x < 0.5
-        else -_lgamma(x)) + (q + order) * math.log(t)), s)
+        math.lgamma(-(q + order)) + math.log(abs(s)))
+        + (q + order) * math.log(t)), s)
+
+
+#: B_2k / (2k (2k - 1)), k = 1..6: Stirling's series for ln Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_FROM = 30.0  # the series through B_12 is within 1e-21 from here
+
+
+def _stirling_tail(w: float) -> float:
+    """``ln Gamma(w) - (w - 1/2) ln w + w - ln(2 pi) / 2`` for w >= 30."""
+    r, tail = 1.0 / (w * w), 0.0
+    for c in reversed(_STIRLING):
+        tail = tail * r + c
+    return tail / w
+
+
+def _log_power(t: float, q: float, order: float, x: float) -> float:
+    """``ln(Gamma(z) / Gamma(x) t^(q+order))``, z = q + 1, for t > 0 and
+    x = z + order >= 1/2; -inf or inf past binary64's exponents.
+
+    With z and x both >= 30 the log-ratio is Stirling's difference
+    ``-(z - 1/2) log1p(order/z) - order ln x + order`` plus the series
+    tails, never two lgammas of about z ln z that cancel, nor z + order,
+    which rounds to z from 2^53 on.  Otherwise ln Gamma is ``math.lgamma``
+    below 30 and Stirling's series from there.  The terms, each below
+    2^1034, are summed in units of 2^16, so none overflows, and a logarithm
+    past binary64 itself is the infinity whose sign decides 0 or the range
+    error."""
+    z, unit = q + 1.0, 2.0**16
+
+    def log_gamma(w: float) -> float:  # ln Gamma(w) / unit
+        if w < _STIRLING_FROM:
+            return math.lgamma(w) / unit
+        return math.fsum(((w - 0.5) / unit * math.log(w), -w / unit,
+                          (_HALF_LOG_2PI + _stirling_tail(w)) / unit))
+
+    if min(z, x) >= _STIRLING_FROM:
+        terms = [-(z - 0.5) / unit * math.log1p(order / z),
+                 -order / unit * math.log(x), order / unit,
+                 (_stirling_tail(z) - _stirling_tail(x)) / unit]
+    else:
+        terms = [log_gamma(z), -log_gamma(x)]
+    terms.append((q + order) / unit * math.log(t))
+    return unit * math.fsum(terms)
 
 
 @_reference

@@ -351,6 +351,8 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("dielectric", "--model", "lorentz", "--modes", "1:1"), None, 2),
     (("dielectric", "--model", "lorentz", "--modes", "a:1:0.1"), None, 2),
     (("dielectric", "--model", "lorentz"), None, 2),
+    (("dielectric", "--model", "lorentz", "--modes", "1:2:0",
+      "--omega-range", "1:3:3"), None, 1),
     (("dielectric", "--time-domain", "--n-exp", "0.3,0.5"), None, 2),
     (("dielectric", "--n-exp", "0.3,0.5"), None, 2),
     # flag combinations the rules cannot honour
@@ -466,6 +468,9 @@ def test_node_count_past_the_float_range(capsys, argv):
     # omega^2 past binary64: the response rounds to 0
     ("dielectric", "--model", "lorentz", "--modes", "1:1:0.1",
      "--omega-range", "1e200:1e300:2"),
+    # next to a damped resonance: finite, with nothing on stderr
+    ("dielectric", "--model", "lorentz", "--modes", "1:2:0.3",
+     "--omega-range", "1.999:2.001:3"),
 ], ids=" ".join)
 def test_extreme_flags_exit_zero_without_warning(capsys, argv):
     # finite result cells, and no numpy RuntimeWarning (an error under this

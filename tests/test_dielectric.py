@@ -14,7 +14,7 @@ from fracquad.dielectric import (
     universal_susceptibility,
     verify_universal_ratio,
 )
-from fracquad.exceptions import DomainError, FitError, ResonanceWarning
+from fracquad.exceptions import DomainError, FitError
 from fracquad.oracle import exact_integral_const
 from fracquad.quadrature import SampledSignal, UniformGrid
 from fracquad.weights import Scheme
@@ -89,13 +89,6 @@ def test_lorentz_static_and_tail():
     assert slope == pytest.approx(-2.0, abs=0.01)
     # -(sum f_i)/omega^2 asymptote
     assert chi[-1].real == pytest.approx(-3.0 / omegas[-1] ** 2, rel=1e-3)
-
-
-def test_lorentz_undamped_resonance_flagged():
-    model = LorentzEnsemble(modes=((1.0, 2.0, 0.0),))
-    with pytest.warns(ResonanceWarning):
-        value = lorentz_susceptibility(model, 2.0)
-    assert np.isinf(abs(value))
 
 
 def test_lorentz_weight_budget():
@@ -225,14 +218,15 @@ _FIELD = SampledSignal(UniformGrid(0.05, 16), np.ones(16))
     (lambda: DebyeModel(n_density=math.nan), "finite"),
     (lambda: LorentzEnsemble(((1.0, math.nan, 0.1),)), "mode"),
     (lambda: LorentzEnsemble(((1.0, 1.0, math.inf),)), "mode"),
+    (lambda: LorentzEnsemble(((1.0, 2.0, 0.0),)), "mode"),
     (lambda: LorentzEnsemble(((1.0, 1.0, 0.1),), n_density=math.inf),
      "finite"),
     (lambda: fractional_polarization(_FIELD, 0.5, eps0=math.nan), "eps0"),
     (lambda: verify_universal_ratio(0.5, omega0=math.inf), "probe"),
 ], ids=["universal-omega", "universal-scale", "debye-omega",
         "lorentz-omega", "debye-tau", "debye-density", "lorentz-omega0",
-        "lorentz-damping", "lorentz-density", "polarization-eps0",
-        "ratio-omega0"])
+        "lorentz-damping", "lorentz-undamped", "lorentz-density",
+        "polarization-eps0", "ratio-omega0"])
 def test_non_finite_inputs_rejected(call, match):
     # a typed error before any numpy work, not NaN output or a warning
     with pytest.raises(DomainError, match=match):

@@ -149,6 +149,30 @@ def test_power_rule_past_gamma_limit(oracle, t, alpha, q):
     assert abs(got - want) <= tol * np.finfo(float).eps * want
 
 
+@pytest.mark.parametrize("t, nu, q", [
+    (1.0, 0.5, 1e6), (1.0, 0.5, 1e10), (1.0, 0.5, 1e17), (1.0, 0.5, 3e304),
+    (1.0, 0.5, 3e305), (1.0, -0.5, 1e17), (1.0, -0.25, 1.7e308),
+    (1.0 + 2.0**-20, 1.5, 1e6), (1.0 - 2.0**-40, -3.7, 1e10),
+    (1.0 + 2.0**-50, 0.25, 2.0**53), (1e-83, -195.0, 199.5),
+    (3650.0, 1e4, 2.0),
+])
+def test_power_rule_at_large_orders(t, nu, q):
+    # ln Gamma(q+1) - ln Gamma(q+1+nu) from Stirling's difference, not from
+    # two lgammas of about q ln q (1e6 eps off at q = 1e6), nor from
+    # q + 1 + nu, which rounds to q + 1 from 2^53 on: within (16 + |ln R|
+    # + |(q + nu) ln t|) eps of 400-digit mpmath, R the gamma ratio
+    with mpmath.workdps(400):
+        p, n = mpmath.mpf(q), mpmath.mpf(nu)
+        log_ratio = mpmath.loggamma(p + 1) - mpmath.loggamma(p + 1 + n)
+        want = mpmath.exp(log_ratio + (p + n) * mpmath.log(t))
+    if nu > 0.0:
+        got = exact_integral_monomial(t, nu, q)
+    else:
+        got = exact_derivative_monomial(t, -nu, q)
+    tol = 16 + abs(float(log_ratio)) + abs((q + nu) * math.log(t))
+    assert abs(got - want) <= tol * np.finfo(float).eps * want
+
+
 @pytest.mark.parametrize("alpha", [1e-310, 2.0**-1074])
 @pytest.mark.parametrize("t", [2.0**-1074, 1.0, 709.0])
 def test_exact_integral_exp_at_subnormal_order(t, alpha):
@@ -239,13 +263,16 @@ def test_exact_derivative_monomial_at_zero(alpha, q, want):
     lambda: exact_integral_const(5e-324, 1.7e308),
     lambda: exact_integral_monomial(0.5, 1e306, 0.0),
     lambda: exact_integral_monomial(1e70, 1e306, 2.0),
+    lambda: exact_integral_monomial(1e200, 1e306, 2.0),
+    lambda: exact_integral_monomial(0.5, 1e306, 1e306),
     lambda: exact_integral_exp(2.0, 1.7e308),
     lambda: exact_integral_exp(700.0, 1e306),
 ], ids=["monomial-5e-324", "const-5e-324", "monomial-0.5", "monomial-1e70",
-        "exp-2", "exp-700"])
+        "monomial-1e200", "monomial-q-1e306", "exp-2", "exp-700"])
 def test_integrals_below_subnormal_range(call):
-    # lgamma of the order past binary64 in the denominator, the power's
-    # logarithm not: the true value is below the subnormal range, so 0
+    # lgamma of the order past binary64 in the denominator, the logarithm
+    # of the power or of the whole value too: the true value is below the
+    # subnormal range, so 0
     assert call() == 0.0
 
 
