@@ -108,10 +108,10 @@ def _load_csv_signal(path: str) -> SampledSignal:
     dt = t[1] - t[0]
     if not dt > 0:
         raise DomainError(f"{path}: time column must increase")
-    expected = t[0] + dt * np.arange(len(t))
-    bad = np.nonzero(np.abs(t - expected) > 1e-9 * dt)[0]
     if t[0] != 0.0:
         raise DomainError(f"{path}:{rows[0][0]}: grid must start at t = 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf: named below
+        bad = np.nonzero(np.abs(t - dt * np.arange(len(t))) > 1e-9 * dt)[0]
     if bad.size:
         raise DomainError(f"{path}:{rows[bad[0]][0]}: node off the uniform "
                           "grid by more than 1e-9*dt")
@@ -215,8 +215,7 @@ def _cmd_integrate(args) -> None:
         raise _UsageError("--oracle needs a callable integrand, not csv:")
     out = _apply_rule(signal, args.scheme, args.alpha, args.method,
                       args.memory, args.starting_weights)
-    t = signal.grid.nodes
-    _emit_against(t, out.values, integral, args.alpha)
+    _emit_against(signal.grid.nodes, out.values, integral, args.alpha)
 
 
 def _cmd_differentiate(args) -> None:
@@ -232,8 +231,7 @@ def _cmd_differentiate(args) -> None:
         out = rl_derivative_via_integral(signal, args.alpha,
                                          scheme=Scheme(args.scheme or "gl"),
                                          method=args.method)
-    t = signal.grid.nodes
-    _emit_against(t, out.values, derivative, args.alpha)
+    _emit_against(signal.grid.nodes, out.values, derivative, args.alpha)
 
 
 def _cmd_convergence(args) -> None:
@@ -347,6 +345,15 @@ def _susceptibility_sweep(args, omegas: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------- parser
 
+def _numbers(kind: type, text: str) -> list:
+    """``kind`` values from comma-separated text, for argparse."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"takes comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -418,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_rule_args(conv)
     conv.add_argument("--t-probe", dest="t_probe", type=float, required=True)
     conv.add_argument("--n-list", dest="n_list", required=True,
-                      type=lambda s: [int(x) for x in s.split(",")])
+                      type=functools.partial(_numbers, int))
     conv.add_argument("--scheme", choices=_RULE_CHOICES, default="gl")
     conv.set_defaults(func=_cmd_convergence, oracle=True)
 
@@ -430,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="start:stop:count")
     diel.add_argument("--log-omega", dest="log_omega", action="store_true")
     diel.add_argument("--n-exp", dest="n_exp", default="0.5",
-                      type=lambda s: [float(x) for x in s.split(",")])
+                      type=functools.partial(_numbers, float))
     diel.add_argument("--scale", type=float, default=1.0)
     diel.add_argument("--n-density", dest="n_density", type=float,
                       default=1.0)

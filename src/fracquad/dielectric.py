@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import DomainError, FitError
 from .quadrature import SampledSignal, UniformGrid, frac_integral
-from .weights import Scheme, weights_for_scheme
+from .weights import _MAX_COUNT, Scheme, weights_for_scheme
 
 __all__ = [
     "UniversalResponse",
@@ -216,9 +216,10 @@ def fractional_polarization(
 def _time_grid(dt: float, t_end: float) -> UniformGrid:
     """The grid of step ``dt`` whose last node is nearest ``t_end``."""
     if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf
-            and t_end / dt < math.inf):
+            and t_end / dt < _MAX_COUNT):
         raise DomainError(f"dt and t_end must be positive and finite, with a "
-                          f"finite ratio, got dt={dt!r}, t_end={t_end!r}")
+                          f"finite ratio t_end / dt < {_MAX_COUNT}, got "
+                          f"dt={dt!r}, t_end={t_end!r}")
     return UniformGrid(dt, int(round(t_end / dt)) + 1)
 
 

@@ -28,7 +28,7 @@ from .weights import (
     WeightSequence,
     _evaluate,
     _newton_cotes_rule,
-    _trapezoid_rule,
+    nc0_weights,
     starting_weight_table,
 )
 
@@ -91,9 +91,9 @@ class SampledSignal:
     @classmethod
     def sample(cls, f: Callable[[np.ndarray], np.ndarray],
                grid: UniformGrid) -> "SampledSignal":
-        """``f`` on the nodes; an overflowing or NaN sample is reported once,
+        """``f`` on the nodes; an infinite or NaN sample is reported once,
         by the finiteness check, not also by a numpy warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return cls(grid, f(grid.nodes))
 
     def replace_values(self, values: np.ndarray,
@@ -163,11 +163,13 @@ def frac_trapezoid(signal: SampledSignal, alpha: float,
                    method: str = "direct") -> SampledSignal:
     """Fractional composite trapezoid rule.
 
-    The NC0 rule applied to the panel averages ``(f_k + f_(k+1)) / 2``
-    (one panel fewer than nodes, padded with a 0 that no node reaches);
-    reduces to the classical composite trapezoid rule at ``alpha = 1``.
+    The whole NC0 rule of ``n`` weights applied to the panel averages
+    ``(f_k + f_(k+1)) / 2`` (one panel fewer than nodes, padded with a 0
+    that no node reaches); the classical composite trapezoid at alpha = 1.
     """
-    rule = _trapezoid_rule(alpha, signal.grid.dt, signal.grid.n, method)
+    if signal.grid.n < 2:
+        raise DomainError("trapezoid rule needs at least 2 samples")
+    rule = nc0_weights(alpha, signal.grid.dt, signal.grid.n)._rule
     f = signal.values
     averages = np.concatenate((0.5 * f[:-1] + 0.5 * f[1:], [0.0]))
     out = _evaluate(averages, rule, method)

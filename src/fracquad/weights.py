@@ -22,10 +22,9 @@ produced:
 :func:`flmm_weights` (trapezoid) and :func:`euler_flmm_weights` (implicit
 Euler) raise the multistep series ``(1/2, 1, 1, ...)`` and ``(1, 1, 1, ...)``
 to a real power by the J.C.P. Miller recurrence, an independent check on the
-closed forms.  The integrators' panel rules are built here too: the
-trapezoid's NC0 rule on panel averages (:func:`_trapezoid_rule`) and the 2-
-and 3-point Newton-Cotes rules, Toeplitz weights plus starting columns whose
-row 0 cancels ``w_0 f_0`` (:func:`_newton_cotes_rule`).
+closed forms.  The 2- and 3-point Newton-Cotes rules are built here too,
+Toeplitz weights plus starting columns whose row 0 cancels ``w_0 f_0``
+(:func:`_newton_cotes_rule`).
 Starting-weight corrections that restore polynomial exactness near the
 origin are the read-only (N, s+1) array of :func:`starting_weight_table`.
 Weights of non-integer orders carry their integral form for the ``fft``
@@ -140,11 +139,6 @@ _LEAF_CUTOFF = 1024
 _MODES_CUTOFF = 3000
 
 
-def _engine_runs(n: int, far: _Terms | None) -> bool:
-    """Whether ``fft`` takes ``n`` samples through the far field ``far``."""
-    return far is not None and 2 * n >= _MODES_CUTOFF * (1 + len(far))
-
-
 def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
     """``rule`` on ``f``, ``out[n] = sum_(j <= n) w_j g_(n-j)`` plus the head
     columns, bitwise causal and each node within ``N * eps * (|f| * |w|)_n``:
@@ -163,7 +157,8 @@ def _evaluate(f: np.ndarray, rule: _Rule, method: str) -> np.ndarray:
             out = np.convolve(g, c)[:n]
         else:
             count = -(-n // _BLOCK)
-            engine = method == "fft" and _engine_runs(n, rule.far)
+            engine = (method == "fft" and rule.far is not None
+                      and 2 * n >= _MODES_CUTOFF * (1 + len(rule.far)))
             lags = 2 if engine else min(count,
                                         (len(c) + _BLOCK - 2) // _BLOCK + 1)
             rows = np.zeros((count, _BLOCK))
@@ -331,19 +326,6 @@ def nc0_weights(alpha: float, dt: float, n: int) -> WeightSequence:
     box = (lambda u, a: -np.expm1(-u) / u, alpha, dt**alpha, False)
     far = _far_field(box)
     return WeightSequence(Scheme.NC0, alpha, dt, values, far)
-
-
-def _trapezoid_rule(alpha: float, dt: float, n: int, method: str) -> _Rule:
-    """The NC0 rule that ``frac_trapezoid`` sums over the panel averages of
-    ``n`` samples: 2 L weights where the ``fft`` engine runs (it reads no
-    more), ``n`` elsewhere."""
-    if n < 2:
-        raise DomainError("trapezoid rule needs at least 2 samples")
-    _validate_common(alpha, dt, n, "NC0 rule")
-    c = nc0_weights(alpha, dt, min(n, 2 * _BLOCK) if method == "fft" else n)
-    if len(c) < n and not _engine_runs(n, c.far_field):
-        c = nc0_weights(alpha, dt, n)
-    return c._rule
 
 
 def _newton_cotes_rule(alpha: float, dt: float, n: int, p: int) -> _Rule:

@@ -335,6 +335,8 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
     (("integrate", "--f", "csv:{}"), "t,f\n0,1\n", 1),
     (("integrate", "--f", "csv:{}"), "t,f\n0,1\n0,2\n", 1),
     (("integrate", "--f", "csv:{}"), "t,f\n1,1\n2,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,1\ninf,2\n", 1),
+    (("integrate", "--f", "csv:{}"), "t,f\n0,1\n1e308,2\n1.7e308,3\n", 1),
     (("integrate", "--f", "exp", "--t-end", "1", "--n", "1"), None, 2),
     (("integrate", "--f", "bogus", "--t-end", "1", "--n", "5"), None, 2),
     ((*_CONVERGE, "1", "--n-list", "4,8"), None, 2),
@@ -387,6 +389,17 @@ def test_error_paths_one_stderr_line(capsys, tmp_path, argv, csv, code):
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, takes", [
+    (("dielectric", "--n-exp", ","), "--n-exp: takes comma-separated floats"),
+    ((*_CONVERGE, "1", "--n-list", ","), "--n-list: takes comma-separated ints"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+def test_list_flags_say_what_they_take(capsys, argv, takes):
+    # a usage error names the flag and what it takes, not the converter
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "<lambda>" not in err and takes in err
 
 
 _PAST_BINARY64 = [
@@ -666,6 +679,19 @@ def test_dielectric_bad_time_grid_exit_one(capsys, mode, grid):
     code, out, err = run_cli(capsys, "dielectric", mode, *grid)
     assert (code, out) == (1, "")
     assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--verify-ratio", "--n-exp", "0.5", "--dt", "1e-300"),
+    ("--time-domain", "--dt", "1e-3", "--t-end", "1e300"),
+], ids=" ".join)
+def test_dielectric_grid_past_the_node_limit_exit_one(capsys, argv):
+    # a node count past numpy's index range is named by dt and t_end, not
+    # printed in its ~300 digits
+    code, out, err = run_cli(capsys, "dielectric", *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert "dt=" in err and "t_end=" in err
 
 
 def test_parser_reuse_keeps_no_state(capsys):

@@ -75,6 +75,17 @@ def test_signal_validation():
         SampledSignal(grid, [1.0, 2.0, np.nan, 4.0])
 
 
+@pytest.mark.parametrize("fn", [lambda u: 1.0 / u, np.log],
+                         ids=["reciprocal", "log"])
+def test_sample_reports_a_pole_once(fn):
+    # the pole at t = 0 is reported by the finiteness check alone, not also
+    # by numpy's divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must all be finite"):
+            SampledSignal.sample(fn, UniformGrid(0.1, 4))
+
+
 def test_nc0_exact_on_constants():
     sig = make_signal(lambda t: np.ones_like(t), 9.9, 100)
     w = nc0_weights(0.5, sig.grid.dt, 100)
@@ -872,9 +883,8 @@ def test_fft_without_far_field_equals_direct_bitwise():
 
 @pytest.mark.parametrize("n", [_MODES_CUTOFF - 1, _MODES_CUTOFF, 1 << 16])
 def test_fft_trapezoid_equals_full_length_weights_bitwise(n):
-    # under fft the rule builds only the 2 L NC0 weights the engine reads
-    # (from _MODES_CUTOFF samples on), and all n below; either way its output
-    # is that of the full-length sequence with its far field
+    # the trapezoid sums the whole NC0 rule of n weights with its far field,
+    # through the engine from _MODES_CUTOFF samples on and direct below
     grid = UniformGrid(10.0 / n, n)
     f = np.random.default_rng(n).standard_normal(n)
     averages = np.concatenate((0.5 * f[:-1] + 0.5 * f[1:], [0.0]))

@@ -9,9 +9,7 @@ import pytest
 from fracquad.exceptions import DomainError
 from fracquad.special import gamma
 from fracquad.weights import (
-    _BLOCK,
     Scheme,
-    _trapezoid_rule,
     euler_flmm_weights,
     flmm_weights,
     gl_weights,
@@ -127,16 +125,6 @@ def test_nc0_weights_domain():
         nc0_weights(-0.5, 1.0, 4)
     with pytest.raises(DomainError):
         nc0_weights(0.5, 0.0, 4)
-
-
-@pytest.mark.parametrize("alpha, n, method, count", [
-    (0.5, 2**16, "fft", 2 * _BLOCK),  # the engine reads no more
-    (0.5, 2**16, "direct", 2**16),
-    (1.0, 2**16, "fft", 2**16),  # no far field
-    (0.5, 2999, "fft", 2999),  # below the engine's cutoff
-])
-def test_trapezoid_rule_weight_count(alpha, n, method, count):
-    assert len(_trapezoid_rule(alpha, 0.01, n, method).values) == count
 
 
 def test_flmm_euler_reproduces_gl():
