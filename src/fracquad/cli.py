@@ -132,8 +132,8 @@ def _resolve_integrand(spec: str, args) -> tuple[SampledSignal, tuple]:
 
 
 def _grid(span: float, n: int) -> UniformGrid:
-    """``n`` nodes over ``[0, span]``; a count past numpy's index range is
-    named by the grid, before ``n - 1`` is turned into a float."""
+    """``n`` nodes over ``[0, span]``; a count past the longest array numpy
+    can size is named by the grid, before ``n - 1`` is turned into a float."""
     return UniformGrid(span / (n - 1) if n <= _MAX_COUNT else 1.0, n)
 
 
@@ -470,7 +470,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except FracquadError as exc:
+    except (FracquadError, MemoryError) as exc:  # numpy names the size
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
     return 0

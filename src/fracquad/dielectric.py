@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import DomainError, FitError
 from .quadrature import SampledSignal, UniformGrid, frac_integral
-from .weights import _MAX_COUNT, Scheme, weights_for_scheme
+from .weights import _MAX_COUNT, Scheme, _positive, weights_for_scheme
 
 __all__ = [
     "UniversalResponse",
@@ -89,14 +89,12 @@ class LorentzEnsemble:
     """Damped-oscillator electron ensemble.
 
     ``modes`` holds finite ``(weight, omega, damping)`` triples, weight >= 0
-    and omega, damping > 0; the weights must add up to
-    ``electrons_per_molecule`` where one is declared.
+    and omega, damping > 0.
     """
 
     modes: tuple[LorentzMode, ...]
     n_density: float = 1.0
     eps0: float = 1.0
-    electrons_per_molecule: float | None = None
 
     def __post_init__(self) -> None:
         modes = tuple(LorentzMode(*m) for m in self.modes)
@@ -108,22 +106,6 @@ class LorentzEnsemble:
                     and m.omega > 0.0 and m.damping > 0.0):
                 raise DomainError(f"invalid mode {m}")
         object.__setattr__(self, "modes", modes)
-        total = sum(m.weight for m in modes)
-        declared = self.electrons_per_molecule
-        if declared is not None and not math.isclose(
-                total, declared, rel_tol=1e-9, abs_tol=1e-12):
-            raise DomainError(
-                f"mode weights sum to {total:g}, expected "
-                f"{declared:g} electrons per molecule"
-            )
-
-
-def _positive(**constants: float) -> None:
-    """DomainError naming the first constant that is not finite and > 0."""
-    for name, value in constants.items():
-        if not 0.0 < value < math.inf:
-            raise DomainError(
-                f"{name} must be positive and finite, got {value!r}")
 
 
 def _finite(omega) -> np.ndarray:
@@ -215,11 +197,10 @@ def fractional_polarization(
 
 def _time_grid(dt: float, t_end: float) -> UniformGrid:
     """The grid of step ``dt`` whose last node is nearest ``t_end``."""
-    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf
-            and t_end / dt < _MAX_COUNT):
-        raise DomainError(f"dt and t_end must be positive and finite, with a "
-                          f"finite ratio t_end / dt < {_MAX_COUNT}, got "
-                          f"dt={dt!r}, t_end={t_end!r}")
+    _positive(dt=dt, t_end=t_end)
+    if not t_end / dt < _MAX_COUNT:
+        raise DomainError(f"dt and t_end need a finite ratio t_end / dt < "
+                          f"{_MAX_COUNT}, got dt={dt!r}, t_end={t_end!r}")
     return UniformGrid(dt, int(round(t_end / dt)) + 1)
 
 
@@ -260,9 +241,7 @@ def verify_universal_ratio(
     """
     model = UniversalResponse(n_exp)
     alpha = model.alpha
-    if not 0.0 < omega0 < math.inf:
-        raise DomainError(f"probe frequency must be positive and finite, "
-                          f"got {omega0!r}")
+    _positive(**{"probe frequency": omega0})
     grid = _time_grid(dt, t_end)
     t = grid.nodes
     field = SampledSignal.sample(lambda u: np.sin(omega0 * u), grid)

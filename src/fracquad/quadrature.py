@@ -16,7 +16,6 @@ terms of NC3 and FLMM_TRAP), run ``direct``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import InitVar, dataclass
 from typing import Callable
 
@@ -26,8 +25,11 @@ from .exceptions import DomainError, GridMismatchError, LengthError
 from .weights import (
     _MAX_COUNT,
     WeightSequence,
+    _count,
     _evaluate,
     _newton_cotes_rule,
+    _positive,
+    _samples,
     nc0_weights,
     starting_weight_table,
 )
@@ -49,13 +51,8 @@ class UniformGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise DomainError(f"grid step must be positive and finite, "
-                              f"got {self.dt!r}")
-        if not (isinstance(self.n, numbers.Integral)
-                and 1 <= self.n <= _MAX_COUNT):
-            raise DomainError(f"grid needs 1 to {_MAX_COUNT} nodes, "
-                              f"got {self.n!r}")
+        _positive(**{"grid step": self.dt})
+        _count(self.n, "grid node count", 1, _MAX_COUNT)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -76,17 +73,10 @@ class SampledSignal:
     result: InitVar[str | None] = None
 
     def __post_init__(self, result: str | None) -> None:
-        if np.iscomplexobj(self.values):
-            raise DomainError("signal samples must be real")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or len(values) != self.grid.n:
-            raise DomainError(f"signal needs {self.grid.n} samples, got "
-                              f"shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"{result} leaves the binary64 range" if result
-                              else "signal samples must all be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _samples(
+            self.values, "signal samples",
+            lambda v: f"{result} leaves the binary64 range" if result
+            else "signal samples must all be finite", self.grid.n))
 
     @classmethod
     def sample(cls, f: Callable[[np.ndarray], np.ndarray],
@@ -220,13 +210,7 @@ def short_memory_integral(
     ``fft`` runs direct too).  Truncation is only safe when the weights
     decay (derivative-type kernels).
     """
-    n = signal.grid.n
-    if not (isinstance(memory_length, numbers.Integral)
-            and 1 <= memory_length <= n):
-        raise DomainError(
-            f"memory length must be an integer in [1, {n}], "
-            f"got {memory_length!r}"
-        )
+    _count(memory_length, "memory length", 1, signal.grid.n)
     _check_compatibility(signal, weights)
     out = _evaluate(signal.values, weights._rule._replace(
         values=weights.values[:memory_length], far=None), method)

@@ -90,6 +90,49 @@ class _Rule(NamedTuple):
     shift: bool = False
 
 
+#: The most nodes or weights: the longest array numpy can size at the
+#: widest entries the package allocates, 16 bytes (complex128 sweeps,
+#: longdouble Miller references); past it a count raises DomainError.
+_MAX_COUNT = np.iinfo(np.intp).max // 16
+
+
+def _positive(**constants: float) -> None:
+    """DomainError naming the first constant that is not finite and > 0."""
+    for name, value in constants.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(
+                f"{name} must be positive and finite, got {value!r}")
+
+
+def _count(value: int, name: str, lo: int, hi: int) -> None:
+    """DomainError naming ``name`` unless ``value`` is an integer in
+    [lo, hi]."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {value}")
+    if value > hi:
+        raise DomainError(f"{name} must be <= {hi}, got {value}")
+
+
+def _samples(values, name: str, past: Callable[[np.ndarray], str],
+             n: int | None = None) -> np.ndarray:
+    """``values`` as a read-only 1-D float array, of ``n`` entries where
+    given; DomainError naming ``name`` if they are complex or of another
+    shape, and saying ``past(values)`` if one is not finite."""
+    if np.iscomplexobj(values):
+        raise DomainError(f"{name} must be real")
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or n not in (None, len(values)):
+        length = "" if n is None else f" of length {n}"
+        raise DomainError(f"{name} must be 1-D{length}, got shape "
+                          f"{values.shape}")
+    if not np.isfinite(values).all():
+        raise DomainError(past(values))
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Weights of one (scheme, alpha, dt) convolution rule.
@@ -107,16 +150,10 @@ class WeightSequence:
     far_field: _Terms | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.values):
-            raise DomainError("weights must be real")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise DomainError(f"weights must be 1-D, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise DomainError(f"weights of order {self.alpha!r} leave the "
-                              f"binary64 range on {len(values)} nodes")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _samples(
+            self.values, "weights",
+            lambda v: f"weights of order {self.alpha!r} leave the binary64 "
+            f"range on {len(v)} nodes"))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -126,8 +163,6 @@ class WeightSequence:
         return _Rule(self.values, self.far_field, None, self.scheme.panel_based)
 
 
-#: The most nodes or weights numpy can index.
-_MAX_COUNT = np.iinfo(np.intp).max
 #: Block rows of the direct convolution; up to the cutoff one ``np.convolve``
 #: call is faster (measured crossover 0.9-1.2e3 samples).
 _BLOCK = 128
@@ -273,15 +308,8 @@ def _validate_common(alpha: float, dt: float, n: int,
     binary64 limit; ``lgamma(alpha + 1) < 700`` puts alpha below 168.72)."""
     if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
-    if not 0.0 < dt < math.inf:
-        raise DomainError(f"grid step must be positive and finite, "
-                          f"got {dt!r}")
-    if not isinstance(n, numbers.Integral):
-        raise DomainError(f"weight count must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"weight count must be >= 1, got {n}")
-    if n > _MAX_COUNT:
-        raise DomainError(f"weight count must be <= {_MAX_COUNT}, got {n}")
+    _positive(**{"grid step": dt})
+    _count(n, "weight count", 1, _MAX_COUNT)
     if panel_rule and not (alpha > 0.0 and max(
             -math.log(alpha), alpha * math.log(2.0 * n * max(dt, 1.0))) < 700
             and math.lgamma(alpha + 1.0) < 700):
@@ -565,8 +593,7 @@ def starting_weight_table(weights: WeightSequence, s: int) -> np.ndarray:
             "starting corrections are defined for the convolution-"
             "quadrature schemes (GL / FLMM), not panel rules"
         )
-    if not (isinstance(s, numbers.Integral) and 0 <= s <= 3):
-        raise DomainError(f"correction degree must be in 0..3, got {s!r}")
+    _count(s, "correction degree", 0, 3)
     alpha, dt, n_max = weights.alpha, weights.dt, len(weights.values) - 1
     if not alpha > 0:
         raise DomainError("starting corrections apply to integral orders")

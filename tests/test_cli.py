@@ -376,6 +376,19 @@ _CONVERGE = ("convergence", "--f", "exp", "--alpha", "0.5", "--t-probe")
       "--t-probe", "1", "--n-list", "3,5,9"), None, 1),
     (("integrate", "--f", "const", "--c", "nan", "--t-end", "1", "--n", "5"),
      None, 1),
+    # past the longest array numpy can size: named before numpy is called
+    (("coeffs", "--scheme", "gl", "--alpha", "0.5", "--dt", "1", "--count",
+      "2000000000000000000"), None, 1),
+    (("integrate", "--f", "exp", "--t-end", "1", "--n",
+      "2000000000000000000"), None, 1),
+    (("dielectric", "--time-domain", "--dt", "1e-17"), None, 1),
+    (("dielectric", "--model", "debye", "--omega-range",
+      "1:2:2000000000000000000"), None, 2),
+    # past any 64-bit address space (711 PiB and 1.39 EiB of nodes): numpy
+    # fails to allocate before it touches a page
+    (("integrate", "--f", "exp", "--t-end", "1", "--n",
+      "100000000000000000"), None, 1),
+    (("dielectric", "--time-domain", "--dt", "1e-16"), None, 1),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
 def test_error_paths_one_stderr_line(capsys, tmp_path, argv, csv, code):
     # usage errors exit 2, data and runtime errors 1; either way no stdout
@@ -427,7 +440,7 @@ _PAST_BINARY64 = [
     ((*_CONVERGE[:4], "1e10", "--t-probe", "10000000002", "--n-list",
       "3,5,9"), "exact_integral_exp(10000000002.0, 10000000000.0) leaves"),
     ((*_CONVERGE, "1", "--n-list", "3,5,900000000000000000000"),
-     "grid needs 1 to"),
+     "grid node count must be <="),
     (("coeffs", "--scheme", "flmm-trap", "--alpha", "1e-160", "--dt",
       "5e-324", "--count", "1", "--derivative"), "weights of order"),
     (("coeffs", "--scheme", "gl", "--alpha", "0.5", "--dt", "1", "--count",
@@ -452,8 +465,8 @@ _PAST_BINARY64 = [
                          ids=[" ".join(argv) for argv, _ in _PAST_BINARY64])
 def test_past_binary64_names_itself(capsys, argv, name):
     # one typed error line naming the reference, susceptibility, signal or
-    # count that left binary64 or numpy's index range, with no numpy
-    # RuntimeWarning (an error under this suite's warning filter)
+    # count that left binary64 or the longest array numpy can size, with no
+    # numpy RuntimeWarning (an error under this suite's warning filter)
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (1, "")
     assert len(err.splitlines()) == 1
@@ -471,7 +484,7 @@ def test_node_count_past_the_float_range(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
-    assert "grid needs 1 to" in err
+    assert "grid node count must be <=" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -686,8 +699,8 @@ def test_dielectric_bad_time_grid_exit_one(capsys, mode, grid):
     ("--time-domain", "--dt", "1e-3", "--t-end", "1e300"),
 ], ids=" ".join)
 def test_dielectric_grid_past_the_node_limit_exit_one(capsys, argv):
-    # a node count past numpy's index range is named by dt and t_end, not
-    # printed in its ~300 digits
+    # a node count past the longest array numpy can size is named by dt and
+    # t_end, not printed in its ~300 digits
     code, out, err = run_cli(capsys, "dielectric", *argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and len(err) < 200

@@ -91,15 +91,6 @@ def test_lorentz_static_and_tail():
     assert chi[-1].real == pytest.approx(-3.0 / omegas[-1] ** 2, rel=1e-3)
 
 
-def test_lorentz_weight_budget():
-    LorentzEnsemble(modes=((1.0, 1.0, 0.1), (2.0, 2.0, 0.1)),
-                    electrons_per_molecule=3.0)
-    with pytest.raises(DomainError):
-        LorentzEnsemble(modes=((1.0, 1.0, 0.1),), electrons_per_molecule=2.0)
-    # an undeclared count stays undeclared
-    assert LorentzEnsemble(((1.0, 1.0, 0.1),)).electrons_per_molecule is None
-
-
 @pytest.mark.parametrize("constant", [
     {"n_density": -1.0}, {"n_density": 0.0}, {"eps0": 0.0}, {"eps0": -1.0},
 ], ids=repr)

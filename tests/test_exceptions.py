@@ -91,21 +91,30 @@ def _ones(n):
      "brute_force_rl(f, 1.0, 0.5) leaves"),
     (lambda: brute_force_rl(lambda u: 1e308 * (1.0 + u), 1.0, 0.5),
      DomainError, "brute_force_rl(f, 1.0, 0.5) leaves"),
-    # counts numpy cannot index: no allocation, no "Maximum allowed size
-    # exceeded", and no 1-weight sequence for 2^63 weights
-    (lambda: UniformGrid(1.0, 2**63), DomainError, "grid needs 1 to"),
+    # counts past the longest array numpy can size at 16 bytes an entry: no
+    # allocation, no "Maximum allowed size exceeded" or "array is too big",
+    # and no 1-weight sequence for 2^63 weights
+    (lambda: UniformGrid(1.0, 2**63), DomainError, "grid node count"),
     (lambda: UniformGrid(1e-300, 900_000_000_000_000_000_000), DomainError,
-     "grid needs 1 to"),
+     "grid node count"),
     (lambda: gl_weights(0.5, 1.0, 2**63), DomainError, "weight count"),
     (lambda: weights_for_scheme(Scheme.NC0, 0.5, 1.0, 2**64), DomainError,
      "weight count"),
+    (lambda: UniformGrid(1.0, 2 * 10**18), DomainError,
+     "grid node count must be <="),
+    (lambda: gl_weights(0.5, 1.0, 2 * 10**18), DomainError,
+     "weight count must be <="),
+    (lambda: nc0_weights(0.5, 1.0, 2 * 10**18), DomainError,
+     "weight count must be <="),
+    (lambda: weights_for_scheme(Scheme.FLMM_TRAP, 0.5, 1.0, 2 * 10**18),
+     DomainError, "weight count must be <="),
     # counts and degrees that are not integers: no rounded-up count, no
     # bare TypeError from numpy
     (lambda: gl_weights(0.5, 1.0, 5.5), DomainError, "weight count"),
     (lambda: weights_for_scheme(Scheme.FLMM_TRAP, 0.5, 1.0, 5.5),
      DomainError, "weight count"),
     (lambda: nc0_weights(0.5, 1.0, 5.5), DomainError, "weight count"),
-    (lambda: UniformGrid(0.1, 5.5), DomainError, "grid needs 1 to"),
+    (lambda: UniformGrid(0.1, 5.5), DomainError, "grid node count"),
     (lambda: frac_integral(_ones(8), gl_weights(0.5, 0.5, 8),
                            starting_degree=1.5), DomainError,
      "correction degree"),
@@ -141,7 +150,8 @@ def _ones(n):
         "range-derivative-numpy-t", "range-derivative-exp", "range-sin-power",
         "range-sin-phase", "range-sin-zero-omega", "range-brute-force-nan",
         "range-brute-force-overflow", "grid-2^63", "grid-9e20", "gl-2^63",
-        "nc0-2^64", "gl-count-5.5", "flmm-count-5.5", "nc0-count-5.5",
+        "nc0-2^64", "grid-2e18", "gl-2e18", "nc0-2e18", "flmm-2e18",
+        "gl-count-5.5", "flmm-count-5.5", "nc0-count-5.5",
         "grid-count-5.5", "starting-degree-1.5", "memory-length-2.5",
         "complex-signal", "complex-sampled-signal", "complex-weights",
         "weights-2d", "weights-column", "weights-scalar"])
